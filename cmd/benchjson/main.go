@@ -25,19 +25,24 @@ import (
 
 // Result is one benchmark line. allocs_per_op and bytes_per_op are -1 when
 // the input lacked -benchmem columns, never omitted: a true zero is the
-// whole point of an allocation baseline.
+// whole point of an allocation baseline. Metrics holds the columns a
+// benchmark reports with b.ReportMetric, keyed by unit.
 type Result struct {
-	Name        string  `json:"name"`
-	Pkg         string  `json:"pkg"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Name        string             `json:"name"`
+	Pkg         string             `json:"pkg"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  float64            `json:"bytes_per_op"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Run is one labeled invocation of the bench suite.
+// Run is one labeled invocation of the bench suite. CPU is the model go
+// test prints in its "cpu:" header, so runs from different hosts can be
+// told apart.
 type Run struct {
 	Label   string   `json:"label"`
+	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 }
 
@@ -51,7 +56,7 @@ func main() {
 	out := flag.String("o", "", "output file to merge into (stdout when empty)")
 	flag.Parse()
 
-	results, err := parse(os.Stdin)
+	results, cpu, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -73,13 +78,13 @@ func main() {
 	replaced := false
 	for i := range doc.Runs {
 		if doc.Runs[i].Label == *label {
-			doc.Runs[i].Results = results
+			doc.Runs[i] = Run{Label: *label, CPU: cpu, Results: results}
 			replaced = true
 			break
 		}
 	}
 	if !replaced {
-		doc.Runs = append(doc.Runs, Run{Label: *label, Results: results})
+		doc.Runs = append(doc.Runs, Run{Label: *label, CPU: cpu, Results: results})
 	}
 
 	enc, err := json.MarshalIndent(&doc, "", "  ")
@@ -100,10 +105,9 @@ func main() {
 
 // parse reads `go test -bench` output: "pkg:" lines set the package of the
 // benchmark lines that follow (the format go test emits when benchmarking
-// multiple packages); everything else that does not start with "Benchmark"
-// is ignored.
-func parse(r *os.File) ([]Result, error) {
-	var results []Result
+// multiple packages), and the first "cpu:" line names the host's CPU;
+// everything else that does not start with "Benchmark" is ignored.
+func parse(r *os.File) (results []Result, cpu string, err error) {
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -113,6 +117,11 @@ func parse(r *os.File) ([]Result, error) {
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
+		case strings.HasPrefix(line, "cpu:"):
+			if cpu == "" {
+				cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+			}
+			continue
 		case strings.HasPrefix(line, "ok ") || strings.HasPrefix(line, "ok\t"):
 			// Package summary; the next package's "pkg:" line follows.
 			continue
@@ -121,13 +130,13 @@ func parse(r *os.File) ([]Result, error) {
 		}
 		res, ok, err := parseLine(line, pkg)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		if ok {
 			results = append(results, res)
 		}
 	}
-	return results, sc.Err()
+	return results, cpu, sc.Err()
 }
 
 // parseLine parses one "BenchmarkX-8  N  v ns/op [v B/op  v allocs/op]"
@@ -162,6 +171,11 @@ func parseLine(line, pkg string) (Result, bool, error) {
 			res.BytesPerOp = v
 		case "allocs/op":
 			res.AllocsPerOp = v
+		default:
+			if res.Metrics == nil {
+				res.Metrics = map[string]float64{}
+			}
+			res.Metrics[f[i+1]] = v
 		}
 	}
 	return res, true, nil

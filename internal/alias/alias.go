@@ -1,7 +1,13 @@
 // Package alias resolves router aliases — which interface addresses belong
 // to the same physical router — with the two techniques the paper combines:
-// a MIDAR-style IP-ID monotonic bounds test over the router's shared IP-ID
-// counter, pruned by an APPLE-style path-length estimation filter.
+// MIDAR's IP-ID pipeline over the router's shared IP-ID counter (Keys et
+// al., "Internet-Scale IPv4 Alias Resolution with MIDAR", IEEE/ACM ToN
+// 2013), pruned by an APPLE-style path-length estimation filter.
+//
+// The pipeline costs O(n·rounds) probes, not a probing test per candidate
+// pair: every responsive candidate is sampled into one IP-ID time series,
+// the monotonic bounds test runs offline over the merged series of each
+// APPLE-surviving pair, and only the pairs that pass are probed again.
 package alias
 
 import (
@@ -24,7 +30,8 @@ type Prober interface {
 
 // Config tunes the resolution pipeline.
 type Config struct {
-	// Rounds is the number of interleaved samples per pair test.
+	// Rounds is the length of every candidate's IP-ID time series, and the
+	// number of interleaved rounds in a confirmation re-test.
 	Rounds int
 	// MaxStep is the largest credible IP-ID advance between consecutive
 	// samples of a shared counter (MIDAR's velocity bound).
@@ -37,14 +44,14 @@ type Config struct {
 	// sequential ones: see ConflictKey.
 	Workers int
 	// ConflictKey, when set, names the shared IP-ID counter behind an
-	// address (e.g. the simulated router's ID). Pair tests whose four
-	// sample streams touch disjoint counters run in parallel; tests
-	// sharing a counter are serialized in pair order, so every counter
-	// sees the same probe subsequence as a sequential run and the
-	// observed IP-ID sequences are identical. Addresses with ok=false —
-	// and all addresses when ConflictKey is nil — fall into one shared
-	// bucket and are serialized against each other (always correct,
-	// merely less parallel).
+	// address (e.g. the simulated router's ID). Samples and confirmation
+	// tests that touch disjoint counters run in parallel; those sharing a
+	// counter are serialized in schedule order, so every counter sees the
+	// same probe subsequence as a sequential run and the observed IP-ID
+	// sequences are identical. Addresses with ok=false — and all
+	// addresses when ConflictKey is nil — fall into one shared bucket and
+	// are serialized against each other (always correct, merely less
+	// parallel).
 	ConflictKey func(a netip.Addr) (key uint64, ok bool)
 	// Metrics, when non-nil, receives "alias" stage instruments: candidate
 	// and pair accounting plus the conflict-queue depth. Every recorded
@@ -63,11 +70,35 @@ type candidate struct {
 	pathLen int
 }
 
+// sample is one IP-ID observation; ok is false when the reply was lost.
+type sample struct {
+	id uint16
+	ok bool
+}
+
+// pair names two candidates by index, i < j.
+type pair struct{ i, j int }
+
 // Resolve returns alias sets (routers) among the candidate addresses. Only
-// sets with two or more members are reported. The result is independent of
-// cfg.Workers: every probe's bytes are a pure function of (address, seq),
-// and the conflict-ordered schedule replays the sequential probe order on
-// every shared counter.
+// sets with two or more members are reported. It runs four stages:
+//
+//  1. estimation: one sample per address gives responsiveness and the
+//     APPLE path length;
+//  2. time series: every responsive candidate is sampled round-robin for
+//     cfg.Rounds rounds on one static schedule;
+//  3. offline MBT: the monotonic bounds test runs over the merged series of
+//     every APPLE-surviving pair, sending no probes;
+//  4. confirmation: each pair that passes gets one interleaved re-test,
+//     and the confirmed pairs are joined by union-find.
+//
+// The result is independent of cfg.Workers: every probe's bytes are a pure
+// function of (address, seq), and the conflict-ordered schedules replay
+// the sequential probe order on every shared counter.
+//
+// Lost replies are skipped, not held against a pair: ICMP rate limiting
+// drops some samples of every long enough series, and a test that fails on
+// any loss loses recall in proportion to the series length. Both bounds
+// tests therefore need only two replies per address.
 //
 // A transport error from the Prober is not a non-response: an errored
 // sample means the measurement channel failed, and treating it as "silent
@@ -75,7 +106,7 @@ type candidate struct {
 // pairs are recorded distinctly (alias.sample_errors / alias.pairs.errored
 // counters), excluded from the partition rather than folded into it, and
 // reported through the returned error — deterministically, as the first
-// error in index order — alongside the partition of the probes that did
+// error in schedule order — alongside the partition of the probes that did
 // succeed. Callers that need a trustworthy partition must treat a non-nil
 // error as fatal for the measurement.
 //
@@ -129,33 +160,6 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 	sort.Slice(cands, func(i, j int) bool { return cands[i].addr.Less(cands[j].addr) })
 	cfg.Metrics.Counter("alias", "candidates").Add(uint64(len(addrs)))
 	cfg.Metrics.Counter("alias", "responsive").Add(uint64(len(cands)))
-	cfg.Metrics.Counter("alias", "sample_errors").Add(sampleErrs)
-
-	// Pair stage: the APPLE-pruned pair list is built up front, in
-	// lexicographic order, so the probing schedule is static. (The
-	// previous transitive early-skip — skip (i,j) once union-find links
-	// them — made the pair list depend on earlier outcomes; transitivity
-	// is now recovered from the union-find below instead.)
-	type pairTest struct{ i, j int }
-	pairs := make([]pairTest, 0, len(cands)*(len(cands)-1)/2)
-	pruned := 0
-	for i := 0; i < len(cands); i++ {
-		for j := i + 1; j < len(cands); j++ {
-			// APPLE pruning: interfaces of one router sit at (nearly) the
-			// same return distance.
-			d := cands[i].pathLen - cands[j].pathLen
-			if d < 0 {
-				d = -d
-			}
-			if d > cfg.PathLenSlack {
-				pruned++
-				continue
-			}
-			pairs = append(pairs, pairTest{i, j})
-		}
-	}
-	cfg.Metrics.Counter("alias", "pairs.tested").Add(uint64(len(pairs)))
-	cfg.Metrics.Counter("alias", "pairs.apple_pruned").Add(uint64(pruned))
 
 	// counterKey buckets an address by the shared counter behind it;
 	// bucket 0 collects addresses the oracle cannot place (and everything,
@@ -168,38 +172,105 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 		}
 		return 0
 	}
-	// Each pair test consumes 2*Rounds sample sequence numbers; bases are
-	// disjoint from the estimation stage's [0, len(addrs)) range so no
-	// (addr, seq) coordinate repeats.
-	seqBase := func(pairIdx int) uint32 {
-		return uint32(len(addrs) + pairIdx*2*cfg.Rounds)
+	candKeys := make([][]uint64, len(cands))
+	for i, c := range cands {
+		candKeys[i] = []uint64{counterKey(c.addr)}
 	}
-	// Conflict-queue depth: the longest per-counter serialization chain in
-	// the static pair list — how many pair tests contend for the busiest
-	// shared IP-ID counter. Computed from the pair list alone, so it is
-	// deterministic at any worker count.
-	if g := cfg.Metrics.Gauge("alias", "conflict_queue.depth"); g != nil {
-		perKey := map[uint64]uint64{}
-		for _, pt := range pairs {
-			ki, kj := counterKey(cands[pt.i].addr), counterKey(cands[pt.j].addr)
-			perKey[ki]++
-			if kj != ki {
-				perKey[kj]++
+	depth := cfg.Metrics.Gauge("alias", "conflict_queue.depth")
+
+	// Time-series stage: sample s = r·m + i probes candidate i in round r
+	// with sequence number seriesBase + s, after the estimation range, so
+	// no (addr, seq) coordinate repeats. Samples are serialized per
+	// counter in that order.
+	rounds, m := cfg.Rounds, len(cands)
+	seriesBase := uint32(len(addrs))
+	series := make([]sample, rounds*m)
+	seriesErrs := make([]error, rounds*m)
+	seriesKeys := func(s int) []uint64 { return candKeys[s%m] }
+	recordDepth(depth, len(series), seriesKeys)
+	seriesFanErr := par.ConflictOrdered(ctx, workers, len(series), seriesKeys,
+		func(s int) {
+			r, i := s/m, s%m
+			smp, ok, err := p.SampleIPID(ctx, cands[i].addr, seriesBase+uint32(s))
+			if err != nil {
+				seriesErrs[s] = err
+				return
+			}
+			series[i*rounds+r] = sample{id: smp.ID, ok: ok}
+		})
+	if seriesFanErr != nil {
+		return nil, seriesFanErr
+	}
+	// An errored sample excludes its candidate: a series with a hole of
+	// unknown cause cannot vouch for or against any pair.
+	excluded := make([]bool, m)
+	for s, e := range seriesErrs {
+		if e == nil {
+			continue
+		}
+		sampleErrs++
+		excluded[s%m] = true
+		if firstErr == nil {
+			firstErr = fmt.Errorf("series %s: %w", cands[s%m].addr, e)
+		}
+	}
+	cfg.Metrics.Counter("alias", "sample_errors").Add(sampleErrs)
+
+	// Offline MBT over every APPLE-surviving pair, in lexicographic order.
+	// Within a round candidate i is sampled before candidate j > i, so the
+	// two series interleave exactly as in a probed pair test. At the
+	// per-AS candidate cap this is all-pairs arithmetic over at most a few
+	// thousand pairs — no velocity sort or sliding window is needed.
+	var passed []pair
+	tested, pruned := 0, 0
+	for i := 0; i < m; i++ {
+		if excluded[i] {
+			continue
+		}
+		si := series[i*rounds : (i+1)*rounds]
+		for j := i + 1; j < m; j++ {
+			if excluded[j] {
+				continue
+			}
+			// APPLE pruning: interfaces of one router sit at (nearly) the
+			// same return distance.
+			d := cands[i].pathLen - cands[j].pathLen
+			if d < 0 {
+				d = -d
+			}
+			if d > cfg.PathLenSlack {
+				pruned++
+				continue
+			}
+			tested++
+			if monotonic(si, series[j*rounds:(j+1)*rounds], cfg.MaxStep) {
+				passed = append(passed, pair{i, j})
 			}
 		}
-		for _, depth := range perKey {
-			g.SetMax(depth)
-		}
 	}
-	aliased := make([]bool, len(pairs))
-	pairErrs := make([]error, len(pairs))
-	pairFanErr := par.ConflictOrdered(ctx, workers, len(pairs),
-		func(t int) []uint64 {
-			return []uint64{counterKey(cands[pairs[t].i].addr), counterKey(cands[pairs[t].j].addr)}
-		},
+	cfg.Metrics.Counter("alias", "pairs.tested").Add(uint64(tested))
+	cfg.Metrics.Counter("alias", "pairs.apple_pruned").Add(uint64(pruned))
+	cfg.Metrics.Counter("alias", "pairs.mbt_passed").Add(uint64(len(passed)))
+
+	// Confirmation stage: each passing pair is re-tested with 2·Rounds
+	// interleaved samples numbered after the series range. The pair list
+	// is fixed before the first re-test, and tests sharing a counter are
+	// serialized in pair order.
+	confirmBase := seriesBase + uint32(rounds*m)
+	pairKeys := func(t int) []uint64 {
+		ki, kj := candKeys[passed[t].i][0], candKeys[passed[t].j][0]
+		if ki == kj {
+			return candKeys[passed[t].i]
+		}
+		return []uint64{ki, kj}
+	}
+	recordDepth(depth, len(passed), pairKeys)
+	aliased := make([]bool, len(passed))
+	pairErrs := make([]error, len(passed))
+	pairFanErr := par.ConflictOrdered(ctx, workers, len(passed), pairKeys,
 		func(t int) {
-			ok, err := sharedCounter(ctx, cands[pairs[t].i].addr, cands[pairs[t].j].addr,
-				p, cfg, seqBase(t))
+			ok, err := sharedCounter(ctx, cands[passed[t].i].addr, cands[passed[t].j].addr,
+				p, cfg, confirmBase+uint32(t*2*rounds))
 			if err != nil {
 				// An errored pair is neither aliased nor refuted: it is
 				// excluded from the union-find and surfaced to the caller.
@@ -219,19 +290,18 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 		pairErrCount++
 		if firstErr == nil {
 			firstErr = fmt.Errorf("pair (%s, %s): %w",
-				cands[pairs[t].i].addr, cands[pairs[t].j].addr, e)
+				cands[passed[t].i].addr, cands[passed[t].j].addr, e)
 		}
 	}
 	cfg.Metrics.Counter("alias", "pairs.errored").Add(pairErrCount)
 
 	// Union-find over the recorded outcomes (order-independent: union is
 	// commutative on the final partition).
-	parent := make([]int, len(cands))
+	parent := make([]int, m)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -242,7 +312,7 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 	for t, ok := range aliased {
 		if ok {
 			confirmed++
-			parent[find(pairs[t].i)] = find(pairs[t].j)
+			parent[find(passed[t].i)] = find(passed[t].j)
 		}
 	}
 	cfg.Metrics.Counter("alias", "pairs.aliased").Add(confirmed)
@@ -265,33 +335,83 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 	return out, nil
 }
 
-// sharedCounter runs the monotonic bounds test: interleave samples of the
-// two addresses; a shared counter yields a strictly increasing sequence
-// with small steps, while independent counters almost surely violate the
-// bound at some step. seqBase numbers the samples within the resolution
-// run's global sequence space. A transport error is returned as such: it
-// says nothing about whether the counters are shared.
+// recordDepth raises the conflict-queue depth gauge to the longest
+// per-counter serialization chain of a static schedule of n tasks, where
+// task t touches the distinct counters keysOf(t). It reads the schedule
+// alone, so the gauge is deterministic at any worker count.
+func recordDepth(g *obs.Gauge, n int, keysOf func(t int) []uint64) {
+	if g == nil {
+		return
+	}
+	perKey := map[uint64]uint64{}
+	for t := 0; t < n; t++ {
+		for _, k := range keysOf(t) {
+			perKey[k]++
+		}
+	}
+	for _, d := range perKey {
+		g.SetMax(d)
+	}
+}
+
+// sharedCounter re-tests one pair: Rounds rounds of interleaved samples,
+// a before b, numbered from seqBase in the resolution run's global
+// sequence space, judged by the same loss-tolerant monotonic bounds test
+// as the offline stage. A transport error is returned as such: it says
+// nothing about whether the counters are shared.
 func sharedCounter(ctx context.Context, a, b netip.Addr, p Prober, cfg Config, seqBase uint32) (bool, error) {
-	var seq []uint16
-	k := seqBase
+	sa := make([]sample, cfg.Rounds)
+	sb := make([]sample, cfg.Rounds)
 	for r := 0; r < cfg.Rounds; r++ {
-		for _, addr := range []netip.Addr{a, b} {
-			s, ok, err := p.SampleIPID(ctx, addr, k)
-			k++
-			if err != nil {
-				return false, fmt.Errorf("sample %s: %w", addr, err)
-			}
-			if !ok {
-				return false, nil
-			}
-			seq = append(seq, s.ID)
+		var err error
+		if sa[r], err = take(ctx, p, a, seqBase+uint32(2*r)); err != nil {
+			return false, err
+		}
+		if sb[r], err = take(ctx, p, b, seqBase+uint32(2*r+1)); err != nil {
+			return false, err
 		}
 	}
-	for i := 1; i < len(seq); i++ {
-		step := seq[i] - seq[i-1] // uint16 arithmetic handles wraparound
-		if step == 0 || step > cfg.MaxStep {
-			return false, nil
+	return monotonic(sa, sb, cfg.MaxStep), nil
+}
+
+// take draws one confirmation sample.
+func take(ctx context.Context, p Prober, addr netip.Addr, seq uint32) (sample, error) {
+	s, ok, err := p.SampleIPID(ctx, addr, seq)
+	if err != nil {
+		return sample{}, fmt.Errorf("sample %s: %w", addr, err)
+	}
+	return sample{id: s.ID, ok: ok}, nil
+}
+
+// monotonic is the monotonic bounds test over two series sampled in
+// alternation: a[r] before b[r], and b[r] before a[r+1]. A shared counter
+// yields a strictly increasing merged sequence with small steps, while
+// independent counters almost surely violate the bound at some step. Lost
+// samples are skipped; each series needs at least two replies, so no pair
+// passes on a single reply of either address.
+func monotonic(a, b []sample, maxStep uint16) bool {
+	na, nb := 0, 0
+	var prev uint16
+	seen := false
+	for r := range a {
+		for _, s := range [2]sample{a[r], b[r]} {
+			if !s.ok {
+				continue
+			}
+			if seen {
+				step := s.id - prev // uint16 arithmetic handles wraparound
+				if step == 0 || step > maxStep {
+					return false
+				}
+			}
+			prev, seen = s.id, true
+		}
+		if a[r].ok {
+			na++
+		}
+		if b[r].ok {
+			nb++
 		}
 	}
-	return true, nil
+	return na >= 2 && nb >= 2
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 
 	"arest/internal/mpls"
 	"arest/internal/netsim"
+	"arest/internal/obs"
 	"arest/internal/probe"
 )
 
@@ -110,14 +112,18 @@ func TestResolveSkipsUnresponsive(t *testing.T) {
 	}
 }
 
-// fakeProber serves scripted IP-ID sequences.
+// fakeProber serves scripted IP-ID sequences. Its counters are guarded by
+// a mutex: the estimation stage samples concurrently.
 type fakeProber struct {
+	mu   sync.Mutex
 	ids  map[netip.Addr]*uint16
 	step map[netip.Addr]uint16
 	ttl  map[netip.Addr]uint8
 }
 
 func (f *fakeProber) SampleIPID(ctx context.Context, dst netip.Addr, seq uint32) (probe.IPIDSample, bool, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	p, ok := f.ids[dst]
 	if !ok {
 		return probe.IPIDSample{}, false, nil
@@ -161,19 +167,27 @@ func TestAPPLEPruning(t *testing.T) {
 }
 
 func TestResolveParallelMatchesSequential(t *testing.T) {
-	// The same candidate set resolved sequentially and with 8 workers must
-	// yield identical alias sets: probes are pure functions of (addr, seq)
-	// and the conflict-ordered schedule replays the sequential probe order
-	// on every shared IP-ID counter. Run under -race this also exercises
-	// concurrent netsim.Send on one shared Network.
-	run := func(workers int) [][]netip.Addr {
+	// The same candidate set resolved at 1, 2 and 8 workers must yield
+	// identical alias sets and identical alias counters: probes are pure
+	// functions of (addr, seq) and the conflict-ordered schedules replay
+	// the sequential probe order on every shared IP-ID counter. Run under
+	// -race this also exercises concurrent netsim.Send on one shared
+	// Network.
+	type outcome struct {
+		sets     [][]netip.Addr
+		counters map[string]uint64
+		gauges   map[string]uint64
+	}
+	run := func(workers int) outcome {
 		n, tc, rs := meshNet(t)
 		var cands []netip.Addr
 		for _, r := range rs {
 			cands = append(cands, r.Interfaces()...)
 		}
+		reg := obs.New()
 		cfg := DefaultConfig()
 		cfg.Workers = workers
+		cfg.Metrics = reg
 		cfg.ConflictKey = func(a netip.Addr) (uint64, bool) {
 			r, ok := n.RouterByAddr(a)
 			if !ok {
@@ -181,15 +195,21 @@ func TestResolveParallelMatchesSequential(t *testing.T) {
 			}
 			return uint64(r.ID), true
 		}
-		return mustResolve(t, cands, tc, cfg)
+		sets := mustResolve(t, cands, tc, cfg)
+		snap := reg.Snapshot().Deterministic()
+		return outcome{sets, snap.Counters, snap.Gauges}
 	}
 	seq := run(1)
-	parl := run(8)
-	if len(seq) == 0 {
+	if len(seq.sets) == 0 {
 		t.Fatal("sequential run found no alias sets")
 	}
-	if !reflect.DeepEqual(seq, parl) {
-		t.Errorf("parallel alias sets diverge:\nseq  = %v\npar  = %v", seq, parl)
+	if seq.counters["alias.pairs.aliased"] == 0 {
+		t.Fatalf("no alias counters recorded: %v", seq.counters)
+	}
+	for _, workers := range []int{2, 8} {
+		if got := run(workers); !reflect.DeepEqual(seq, got) {
+			t.Errorf("workers=%d diverges from sequential:\nseq = %+v\npar = %+v", workers, seq, got)
+		}
 	}
 }
 
@@ -203,5 +223,58 @@ func TestVelocityBoundRejectsFastCounter(t *testing.T) {
 	sets := mustResolve(t, []netip.Addr{a("10.0.0.1"), a("10.0.0.2")}, f, DefaultConfig())
 	if len(sets) != 0 {
 		t.Errorf("independent counters aliased: %v", sets)
+	}
+}
+
+// lossProber wraps a fakeProber and loses the replies to the listed
+// samples, as ICMP rate limiting would. A lost probe never reaches the
+// counter.
+type lossProber struct {
+	inner *fakeProber
+	lost  map[netip.Addr][]uint32
+}
+
+func (l *lossProber) SampleIPID(ctx context.Context, dst netip.Addr, seq uint32) (probe.IPIDSample, bool, error) {
+	for _, s := range l.lost[dst] {
+		if s == seq {
+			return probe.IPIDSample{}, false, nil
+		}
+	}
+	return l.inner.SampleIPID(ctx, dst, seq)
+}
+
+func TestResolveToleratesLostSamples(t *testing.T) {
+	// Two aliases on one counter. Sequence numbers: estimation 0-1, series
+	// 2-9 (round r samples 10.0.0.1 at 2+2r and 10.0.0.2 at 3+2r),
+	// confirmation 10-17 (10.0.0.1 at even, 10.0.0.2 at odd numbers).
+	alias := func() *fakeProber {
+		ctr := uint16(100)
+		return &fakeProber{
+			ids:  map[netip.Addr]*uint16{a("10.0.0.1"): &ctr, a("10.0.0.2"): &ctr},
+			step: map[netip.Addr]uint16{a("10.0.0.1"): 5, a("10.0.0.2"): 5},
+			ttl:  map[netip.Addr]uint8{},
+		}
+	}
+	addrs := []netip.Addr{a("10.0.0.1"), a("10.0.0.2")}
+	for _, tc := range []struct {
+		name    string
+		lost    map[netip.Addr][]uint32
+		grouped bool
+	}{
+		{"one series sample", map[netip.Addr][]uint32{a("10.0.0.2"): {5}}, true},
+		{"one sample in each stage",
+			map[netip.Addr][]uint32{a("10.0.0.2"): {5}, a("10.0.0.1"): {12}}, true},
+		{"two series samples per address",
+			map[netip.Addr][]uint32{a("10.0.0.1"): {2, 6}, a("10.0.0.2"): {5, 9}}, true},
+		// Two replies per address are needed: one cannot vouch for a pair.
+		{"three series samples", map[netip.Addr][]uint32{a("10.0.0.2"): {3, 5, 7}}, false},
+		{"three confirmation samples", map[netip.Addr][]uint32{a("10.0.0.2"): {11, 13, 15}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sets := mustResolve(t, addrs, &lossProber{inner: alias(), lost: tc.lost}, DefaultConfig())
+			if got := len(sets) == 1; got != tc.grouped {
+				t.Errorf("sets = %v, want grouped=%v", sets, tc.grouped)
+			}
+		})
 	}
 }
