@@ -53,12 +53,14 @@ check: vet lint race
 bench:
 	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./...
 
-# Machine-readable baseline: records the sweep into BENCH_8.json under
-# LABEL (default "post"), replacing any previous run with the same label.
+# Machine-readable baseline: records the sweep into BENCH (default
+# BENCH_8.json) under LABEL (default "post"), replacing any previous run
+# with the same label.
 # Compare runs with: jq '.runs[] | {label, probe: (.results[] | select(.name=="BenchmarkProbe"))}' BENCH_8.json
 LABEL ?= post
+BENCH ?= BENCH_8.json
 bench-json:
-	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./... | $(GO) run ./cmd/benchjson -label $(LABEL) -o BENCH_8.json
+	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./... | $(GO) run ./cmd/benchjson -label $(LABEL) -o $(BENCH)
 
 # The committed transcript every number in EXPERIMENTS.md was read from.
 # The campaign is fully seeded, so this is byte-reproducible; CI regenerates
@@ -66,7 +68,11 @@ bench-json:
 experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
-# Short deterministic fuzz pass over the archive codec seeds plus a minute
-# of mutation.
+# Short fuzz passes over the archive decoders: the container reader, the
+# trace codec against encoding/json in both directions, and the streaming
+# fold behind a valid checksum. go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz FuzzReadArchive -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz FuzzTraceRecordDecode -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz FuzzTraceRecordEncode -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/exp -run xxx -fuzz FuzzDetectStream -fuzztime 30s

@@ -6,6 +6,11 @@
 //
 //	go test -run NONE -bench . -benchmem ./... | go run ./cmd/benchjson -label post -o BENCH_6.json
 //
+// go test names a benchmark run at GOMAXPROCS N > 1 "BenchmarkX-N". The
+// suffix is stripped only when it equals -procs (default: this process's
+// GOMAXPROCS, which matches a go test run piped in on the same host), so
+// a sub-benchmark named like "workers-8" keeps its own number.
+//
 // The tool is stdlib-only and records no timestamps or host state beyond
 // what the benchmark output itself contains (the determinism contract,
 // DESIGN.md §10, bans wall-clock reads; benchmark numbers are measurements,
@@ -19,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -38,12 +44,14 @@ type Result struct {
 }
 
 // Run is one labeled invocation of the bench suite. CPU is the model go
-// test prints in its "cpu:" header, so runs from different hosts can be
-// told apart.
+// test prints in its "cpu:" header and GOMAXPROCS the value the run's
+// name suffixes were read against, so runs from different hosts or
+// settings can be told apart.
 type Run struct {
-	Label   string   `json:"label"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
+	Label      string   `json:"label"`
+	CPU        string   `json:"cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Results    []Result `json:"results"`
 }
 
 // File is the top-level baseline document.
@@ -54,9 +62,10 @@ type File struct {
 func main() {
 	label := flag.String("label", "run", "label recorded for this bench run")
 	out := flag.String("o", "", "output file to merge into (stdout when empty)")
+	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "GOMAXPROCS of the go test run; only this -N name suffix is stripped")
 	flag.Parse()
 
-	results, cpu, err := parse(os.Stdin)
+	results, cpu, err := parse(os.Stdin, *procs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -75,16 +84,17 @@ func main() {
 			}
 		}
 	}
+	run := Run{Label: *label, CPU: cpu, GOMAXPROCS: *procs, Results: results}
 	replaced := false
 	for i := range doc.Runs {
 		if doc.Runs[i].Label == *label {
-			doc.Runs[i] = Run{Label: *label, CPU: cpu, Results: results}
+			doc.Runs[i] = run
 			replaced = true
 			break
 		}
 	}
 	if !replaced {
-		doc.Runs = append(doc.Runs, Run{Label: *label, CPU: cpu, Results: results})
+		doc.Runs = append(doc.Runs, run)
 	}
 
 	enc, err := json.MarshalIndent(&doc, "", "  ")
@@ -107,7 +117,7 @@ func main() {
 // benchmark lines that follow (the format go test emits when benchmarking
 // multiple packages), and the first "cpu:" line names the host's CPU;
 // everything else that does not start with "Benchmark" is ignored.
-func parse(r *os.File) (results []Result, cpu string, err error) {
+func parse(r *os.File, procs int) (results []Result, cpu string, err error) {
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -128,7 +138,7 @@ func parse(r *os.File) (results []Result, cpu string, err error) {
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
 		}
-		res, ok, err := parseLine(line, pkg)
+		res, ok, err := parseLine(line, pkg, procs)
 		if err != nil {
 			return nil, "", err
 		}
@@ -140,19 +150,18 @@ func parse(r *os.File) (results []Result, cpu string, err error) {
 }
 
 // parseLine parses one "BenchmarkX-8  N  v ns/op [v B/op  v allocs/op]"
-// line. ok is false for Benchmark lines without measurements (the bare
-// name go test prints before running it under -v).
-func parseLine(line, pkg string) (Result, bool, error) {
+// line of a run at GOMAXPROCS procs. ok is false for Benchmark lines
+// without measurements (the bare name go test prints before running it
+// under -v).
+func parseLine(line, pkg string, procs int) (Result, bool, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
 		return Result{}, false, nil
 	}
+	// go test appends "-<GOMAXPROCS>" only when GOMAXPROCS is not 1.
 	name := f[0]
-	// Trim the -GOMAXPROCS suffix go test appends to parallel benchmarks.
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
+	if procs != 1 {
+		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {

@@ -10,7 +10,8 @@
 //	magic   "arest.archive.v1\n" or "arest.archive.v2\n"  (17 bytes)
 //	record  type    uint8
 //	        length  uint32 big-endian        (payload bytes)
-//	        payload JSON                     (schema fixed per type)
+//	        payload JSON                     (schema fixed per type; the
+//	                                          bytes json.Marshal emits)
 //	        crc     uint32 big-endian        (CRC-32C over type+length+payload)
 //	...
 //	end     a TypeEnd record whose payload carries the record and trace
@@ -115,6 +116,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // concurrent use.
 type Writer struct {
 	bw      *bufio.Writer
+	buf     []byte // trace payload scratch, reused record to record
 	records int
 	traces  int
 	closed  bool
@@ -145,20 +147,49 @@ type endPayload struct {
 	Traces  int `json:"traces"`
 }
 
-// writeRecord frames one payload. The CRC covers the type byte, the length
-// field, and the payload, so a flipped bit anywhere in the frame is caught.
+// writeRecord encodes one side-data payload with encoding/json and frames
+// it. Trace records take writeTrace instead.
 func (w *Writer) writeRecord(t Type, payload any) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return errors.New("archive: write after Close")
+	if err := w.writable(); err != nil {
+		return err
 	}
 	body, err := json.Marshal(payload)
 	if err != nil {
 		w.err = fmt.Errorf("archive: encode %s: %w", t, err)
 		return w.err
 	}
+	return w.writeFrame(t, body)
+}
+
+// writeTrace encodes one trace record with the reflection-free codec into
+// the Writer's reused buffer and frames it; the bytes are those
+// json.Marshal would produce.
+func (w *Writer) writeTrace(rec TraceRecord) error {
+	if err := w.writable(); err != nil {
+		return err
+	}
+	body, err := appendTraceRecord(w.buf[:0], &rec)
+	w.buf = body
+	if err != nil {
+		w.err = fmt.Errorf("archive: encode %s: %w", TypeTrace, err)
+		return w.err
+	}
+	return w.writeFrame(TypeTrace, body)
+}
+
+func (w *Writer) writable() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		return errors.New("archive: write after Close")
+	}
+	return nil
+}
+
+// writeFrame frames one payload. The CRC covers the type byte, the length
+// field, and the payload, so a flipped bit anywhere in the frame is caught.
+func (w *Writer) writeFrame(t Type, body []byte) error {
 	if len(body) > MaxPayload {
 		w.err = fmt.Errorf("archive: %s payload %d bytes exceeds cap %d", t, len(body), MaxPayload)
 		return w.err
@@ -246,7 +277,11 @@ func (r *Reader) Version() int { return r.version }
 // io.EOF after the end trailer has been consumed, ErrTruncated if the
 // stream stops without one, and ErrCorrupt on a CRC or framing error. The
 // payload buffer is owned by the caller.
-func (r *Reader) Next() (Type, []byte, error) {
+func (r *Reader) Next() (Type, []byte, error) { return r.next(nil) }
+
+// next is Next reading the payload into buf's storage when it is large
+// enough, for a caller that is done with the previous payload.
+func (r *Reader) next(buf []byte) (Type, []byte, error) {
 	if r.done {
 		return 0, nil, io.EOF
 	}
@@ -262,7 +297,11 @@ func (r *Reader) Next() (Type, []byte, error) {
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: %s length %d exceeds cap at offset %d", ErrCorrupt, t, n, r.offset)
 	}
-	body := make([]byte, n)
+	body := buf[:0]
+	if cap(body) < int(n) {
+		body = make([]byte, n)
+	}
+	body = body[:n]
 	if _, err := io.ReadFull(r.br, body); err != nil {
 		return 0, nil, fmt.Errorf("%w: payload at offset %d: %v", ErrTruncated, r.offset, err)
 	}

@@ -199,7 +199,7 @@ func WriteData(w io.Writer, d *Data) error {
 func writeTraces(aw *Writer, d *Data) error {
 	for i, ts := range d.PerVP {
 		for _, tr := range ts {
-			if err := aw.writeRecord(TypeTrace, TraceRecord{VPIndex: i, Trace: tr}); err != nil {
+			if err := aw.writeTrace(TraceRecord{VPIndex: i, Trace: tr}); err != nil {
 				return err
 			}
 		}

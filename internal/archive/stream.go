@@ -50,8 +50,13 @@ func StreamRecords(ar *Reader, v Visitor) error {
 	sawMeta := false
 	sawDegraded := false
 	numVPs := 0
+	var traces traceDecoder
+	// Every record is decoded into values that copy what they keep, so one
+	// payload buffer serves the whole stream.
+	var body []byte
 	for {
-		t, body, err := ar.Next()
+		t, b, err := ar.next(body)
+		body = b
 		if err == io.EOF {
 			break
 		}
@@ -94,7 +99,7 @@ func StreamRecords(ar *Reader, v Visitor) error {
 			}
 		case TypeTrace:
 			var rec TraceRecord
-			if err := decode(body, &rec); err != nil {
+			if err := traces.decodeTraceRecord(body, &rec); err != nil {
 				return err
 			}
 			if rec.VPIndex < 0 || rec.VPIndex >= numVPs {

@@ -2,13 +2,53 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 
 	"arest/internal/archive"
 	"arest/internal/asgen"
 	"arest/internal/par"
 )
+
+var (
+	defaultOnce sync.Once
+	defaultRecs []asgen.Record
+	defaultData []*archive.Data
+	defaultErr  error
+)
+
+// defaultCampaignData measures every AS of the default campaign once per
+// test binary, in catalogue order, and shares the archives across the
+// tests that score or re-encode the whole campaign.
+func defaultCampaignData(t *testing.T) ([]asgen.Record, []*archive.Data) {
+	t.Helper()
+	defaultOnce.Do(func() {
+		recs := asgen.Analyzed()
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		data := make([]*archive.Data, len(recs))
+		errs := make([]error, len(recs))
+		if err := par.ForEach(context.Background(), 0, len(recs), func(i int) {
+			data[i], errs[i] = MeasureAS(context.Background(), recs[i], cfg)
+		}); err != nil {
+			defaultErr = err
+			return
+		}
+		for i, err := range errs {
+			if err != nil {
+				defaultErr = fmt.Errorf("AS#%d: %w", recs[i].ID, err)
+				return
+			}
+		}
+		defaultRecs, defaultData = recs, data
+	})
+	if defaultErr != nil {
+		t.Fatal(defaultErr)
+	}
+	return defaultRecs, defaultData
+}
 
 // b3Score is a B-cubed alias score summed over responsive hop addresses.
 type b3Score struct {
@@ -74,26 +114,15 @@ func TestAliasAccuracyDefaultCampaign(t *testing.T) {
 	// resolver's scores at the default seed; the resolver may only improve
 	// on them.
 	const minPrec, minRec = 0.9990, 0.8347
-	recs := asgen.Analyzed()
-	cfg := DefaultConfig()
-	cfg.Workers = 1
+	recs, data := defaultCampaignData(t)
 	per := make([]b3Score, len(recs))
-	errs := make([]error, len(recs))
 	if err := par.ForEach(context.Background(), 0, len(recs), func(i int) {
-		data, err := MeasureAS(context.Background(), recs[i], cfg)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		per[i] = scoreAliasB3(data)
+		per[i] = scoreAliasB3(data[i])
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var sum b3Score
-	for i, s := range per {
-		if errs[i] != nil {
-			t.Fatalf("AS#%d: %v", recs[i].ID, errs[i])
-		}
+	for _, s := range per {
 		sum.prec += s.prec
 		sum.rec += s.rec
 		sum.addrs += s.addrs
