@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,14 +78,46 @@ func TestSignalSuppressesPartialReport(t *testing.T) {
 }
 
 // TestCleanAnalysisSucceeds: the same archive analyzes to a full report
-// when nothing interferes.
+// when nothing interferes, headed by the archive's campaign metadata and
+// trace count.
 func TestCleanAnalysisSucceeds(t *testing.T) {
 	path := writeArchive(t)
+	data, err := archive.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-i", path}, nil, noHard(t), strings.NewReader(""), &stdout, &stderr); code != lifecycle.ExitOK {
 		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr.String())
 	}
-	if stdout.Len() == 0 {
-		t.Error("clean analysis produced no report")
+	want := fmt.Sprintf("campaign: %s (AS%d), %d traces\n", data.Meta.Record.Name, data.Meta.Record.ASN, len(data.Traces()))
+	if !strings.HasPrefix(stdout.String(), want) {
+		t.Errorf("report header = %q, want %q", strings.SplitN(stdout.String(), "\n", 2)[0], want)
+	}
+}
+
+// TestForeignInputRejected: input that is not a v2 archive — a JSON-Lines
+// trace file or a retired v1 archive — fails with "bad magic" naming the
+// prefix it found, and no report.
+func TestForeignInputRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, prefix string
+	}{
+		{"jsonl", "#{\"asn\":1}\n{}\n", `"#{\"asn\":1}\n{}\n"`},
+		{"v1 archive", "arest.archive.v1\n\x01", `"arest.archive.v1\n"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(nil, nil, noHard(t), strings.NewReader(tc.in), &stdout, &stderr)
+			if code != lifecycle.ExitFailure {
+				t.Fatalf("exit = %d, want %d\nstderr: %s", code, lifecycle.ExitFailure, stderr.String())
+			}
+			if msg := stderr.String(); !strings.Contains(msg, "bad magic") || !strings.Contains(msg, tc.prefix) {
+				t.Errorf("stderr = %q, want bad magic naming %s", msg, tc.prefix)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rejected input still wrote %d bytes of report", stdout.Len())
+			}
+		})
 	}
 }

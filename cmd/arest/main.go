@@ -1,17 +1,16 @@
 // Command arest runs the AReST detection methodology over a stored
 // campaign and reports detected SR-MPLS segments, per-flag statistics,
-// and interworking tunnels. The input format is sniffed: an arest.archive
-// record stream (as cmd/tntsim emits) replays the full campaign — traces
-// plus the archived fingerprint and bdrmap annotations. A v2 archive is
-// analyzed as a one-pass stream, traces folded in fixed-size batches, so
-// memory stays bounded by the report state rather than the campaign size;
-// a v1 archive (side data after the traces) is materialized first. The
-// legacy JSON-Lines trace format still works and analyzes bare traces.
+// and interworking tunnels. The input is an arest.archive.v2 record
+// stream, as cmd/tntsim and cmd/experiments -snapshot write it: it replays
+// the full campaign — traces plus the archived fingerprint and bdrmap
+// annotations. The archive is analyzed as a one-pass stream, traces folded
+// in fixed-size batches, so memory stays bounded by the report state
+// rather than the campaign size. Any other input, a retired v1 archive
+// included, fails with "bad magic" naming the prefix it found.
 //
 // Usage:
 //
-//	arest -i campaign.arest [-v]
-//	arest -i traces.jsonl [-fingerprints fp.txt] [-v]
+//	arest -i campaign.arest [-fingerprints fp.txt] [-v]
 //
 // The optional fingerprint file maps interface addresses to vendors, one
 // "addr vendor [snmp|ttl]" per line; its entries override any archived
@@ -42,7 +41,6 @@ import (
 	"arest/internal/obs"
 	"arest/internal/par"
 	"arest/internal/probe"
-	"arest/internal/tracestore"
 )
 
 // analyzeBatch bounds the traces in flight between input decode and report
@@ -52,10 +50,9 @@ const analyzeBatch = 256
 
 // analysis accumulates the whole report one trace at a time: each batch
 // fans out across the worker pool into index slots, then reporting walks
-// the slots in input order — output is identical at every worker count and
-// independent of whether traces arrive from a stream or a materialized
-// campaign. A cancelled ctx aborts at the next batch boundary through the
-// sticky err, so an interrupted analysis never reports partial batches.
+// the slots in input order — output is identical at every worker count. A
+// cancelled ctx aborts at the next batch boundary through the sticky err,
+// so an interrupted analysis never reports partial batches.
 type analysis struct {
 	ctx     context.Context
 	det     *core.Detector
@@ -164,12 +161,12 @@ func (a *analysis) report(tr *probe.Trace, p *core.Path, res *core.Result) {
 	}
 }
 
-// campaignVisitor folds a v2 archive straight into the analysis: side
+// campaignVisitor folds an archive straight into the analysis: side
 // records accumulate annotation state, sealed (with any CLI fingerprint
 // overrides merged in) when the first trace arrives.
 type campaignVisitor struct {
 	an                *analysis
-	meta              tracestore.Meta
+	meta              archive.Meta
 	snmp, ttl         map[netip.Addr]mpls.Vendor
 	overSNMP, overTTL map[netip.Addr]mpls.Vendor
 	borders           map[netip.Addr]int
@@ -177,12 +174,7 @@ type campaignVisitor struct {
 }
 
 func (v *campaignVisitor) Meta(m archive.Meta) error {
-	v.meta = tracestore.Meta{ASN: m.Record.ASN, Name: m.Record.Name, Seed: m.Seed}
-	return nil
-}
-
-func (v *campaignVisitor) VP(archive.VPRecord) error {
-	v.meta.VPs++
+	v.meta = m
 	return nil
 }
 
@@ -196,8 +188,9 @@ func (v *campaignVisitor) Fingerprint(rec archive.FingerprintRecord) error {
 	return nil
 }
 
-// AliasSet, SREnabled, Degraded: measurement-side records the detection
-// report does not consume.
+// VP, AliasSet, SREnabled, Degraded: measurement-side records the
+// detection report does not consume.
+func (v *campaignVisitor) VP(archive.VPRecord) error               { return nil }
 func (v *campaignVisitor) AliasSet(archive.AliasSetRecord) error   { return nil }
 func (v *campaignVisitor) SREnabled(archive.SREnabledRecord) error { return nil }
 func (v *campaignVisitor) Degraded(archive.Degraded) error         { return nil }
@@ -247,7 +240,7 @@ func main() {
 func run(argv []string, sigs <-chan os.Signal, hard func(), stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("arest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	in := fs.String("i", "", "input trace file (JSON lines; default stdin)")
+	in := fs.String("i", "", "input archive (arest.archive.v2; default stdin)")
 	fpFile := fs.String("fingerprints", "", "vendor fingerprint file (addr vendor [snmp|ttl])")
 	verbose := fs.Bool("v", false, "print every detected segment")
 	jsonOut := fs.Bool("json", false, "emit one JSON report per trace instead of tables")
@@ -314,68 +307,18 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdin io.Reader, std
 		an.enc = json.NewEncoder(stdout)
 	}
 
-	// Sniff the input format and drive the analysis. A v2 archive streams;
-	// a v1 archive or a JSONL tracestore is materialized and replayed
-	// through the identical accumulator.
-	br := bufio.NewReader(r)
-	var meta tracestore.Meta
-	if archive.Sniff(br) {
-		ar, err := archive.NewReader(br)
-		if err != nil {
-			return errorf("read traces: %v", err)
-		}
-		if ar.Version() >= 2 {
-			v := &campaignVisitor{
-				an:       an,
-				snmp:     map[netip.Addr]mpls.Vendor{},
-				ttl:      map[netip.Addr]mpls.Vendor{},
-				overSNMP: fsnmp,
-				overTTL:  fttl,
-				borders:  map[netip.Addr]int{},
-			}
-			// A stream error with an.err set is the analysis aborting the
-			// stream (cancellation or encode failure) — handled below.
-			if err := archive.StreamRecords(ar, v); err != nil && an.err == nil {
-				return errorf("read traces: %v", err)
-			}
-			meta = v.meta
-		} else {
-			data, err := archive.ReadFrom(ar)
-			if err != nil {
-				return errorf("read traces: %v", err)
-			}
-			meta = tracestore.Meta{
-				ASN:  data.Meta.Record.ASN,
-				Name: data.Meta.Record.Name,
-				Seed: data.Meta.Seed,
-				VPs:  len(data.VPs),
-			}
-			for a, v := range fsnmp {
-				data.SNMP[a] = v
-			}
-			for a, v := range fttl {
-				data.TTL[a] = v
-			}
-			an.ann = fingerprint.NewAnnotator(data.SNMP, data.TTL)
-			if len(data.Borders) > 0 {
-				borders := data.Borders
-				an.asOf = func(a netip.Addr) int { return borders[a] }
-			}
-			for _, tr := range data.Traces() {
-				an.add(tr)
-			}
-		}
-	} else {
-		var traces []*probe.Trace
-		var err error
-		meta, traces, err = tracestore.Read(br)
-		if err != nil {
-			return errorf("read traces: %v", err)
-		}
-		an.ann = fingerprint.NewAnnotator(fsnmp, fttl)
-		for _, tr := range traces {
-			an.add(tr)
-		}
+	v := &campaignVisitor{
+		an:       an,
+		snmp:     map[netip.Addr]mpls.Vendor{},
+		ttl:      map[netip.Addr]mpls.Vendor{},
+		overSNMP: fsnmp,
+		overTTL:  fttl,
+		borders:  map[netip.Addr]int{},
+	}
+	// A stream error with an.err set is the analysis aborting the stream
+	// (cancellation or encode failure) — handled below.
+	if err := archive.Stream(r, v); err != nil && an.err == nil {
+		return errorf("read traces: %v", err)
 	}
 	an.flush()
 	if an.err != nil {
@@ -403,7 +346,7 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdin io.Reader, std
 		return lifecycle.ExitOK
 	}
 
-	if meta.Name != "" {
+	if meta := v.meta.Record; meta.Name != "" {
 		fmt.Fprintf(stdout, "campaign: %s (AS%d), %d traces\n\n", meta.Name, meta.ASN, an.traces)
 	} else {
 		fmt.Fprintf(stdout, "%d traces\n\n", an.traces)

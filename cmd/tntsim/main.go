@@ -3,13 +3,11 @@
 // campaign — traces plus fingerprint/alias/bdrmap annotations and ground
 // truth — as an arest.archive.v2 record stream (side data ahead of the
 // traces, so replays can analyze it as a one-pass stream), ready for
-// cmd/arest to re-analyze offline. The legacy JSON-Lines trace format is
-// still available behind -format jsonl (it stores traces only).
+// cmd/arest to re-analyze offline.
 //
 // Usage:
 //
 //	tntsim -as 46 -vps 6 -targets 24 -seed 1 -o esnet.arest
-//	tntsim -as 46 -format jsonl -o esnet.jsonl
 //
 // Shutdown: the first SIGINT/SIGTERM cancels the measurement (no partial
 // archive is ever written — the output is produced only from a complete
@@ -31,7 +29,6 @@ import (
 	"arest/internal/exp"
 	"arest/internal/lifecycle"
 	"arest/internal/obs"
-	"arest/internal/tracestore"
 )
 
 func main() {
@@ -55,7 +52,6 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdout, stderr io.Wr
 	flows := fs.Int("flows", 1, "Paris flows per target")
 	seed := fs.Int64("seed", 20250405, "campaign seed")
 	out := fs.String("o", "", "output file (default stdout)")
-	format := fs.String("format", "archive", "output format: archive (full campaign) or jsonl (legacy, traces only)")
 	list := fs.Bool("list", false, "list the AS catalogue and exit")
 	metricsOut := fs.String("metrics", "", "export campaign metrics to <file> (.json = JSON, else summary table, - = stdout)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -90,9 +86,6 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdout, stderr io.Wr
 				r.ID, r.ASN, r.Name, r.Category, r.CiscoConfirmed, r.SurveyConfirm, excl)
 		}
 		return lifecycle.ExitOK
-	}
-	if *format != "archive" && *format != "jsonl" {
-		return errorf("unknown format %q (archive or jsonl)", *format)
 	}
 
 	rec, ok := asgen.ByID(*asID)
@@ -149,18 +142,10 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdout, stderr io.Wr
 		defer f.Close()
 		w = f
 	}
-	traces := data.Traces()
-	switch *format {
-	case "archive":
-		if err := archive.WriteData(w, data); err != nil {
-			return errorf("write archive: %v", err)
-		}
-	case "jsonl":
-		meta := tracestore.Meta{ASN: rec.ASN, Name: rec.Name, Seed: *seed, VPs: *vps}
-		if err := tracestore.Write(w, meta, traces); err != nil {
-			return errorf("write traces: %v", err)
-		}
+	if err := archive.WriteData(w, data); err != nil {
+		return errorf("write archive: %v", err)
 	}
+	traces := data.Traces()
 	distinct := map[netip.Addr]bool{}
 	for _, tr := range traces {
 		for i := range tr.Hops {

@@ -7,7 +7,7 @@
 // The on-disk format is a magic line followed by a sequence of framed
 // records and a mandatory end trailer:
 //
-//	magic   "arest.archive.v1\n" or "arest.archive.v2\n"  (17 bytes)
+//	magic   "arest.archive.v2\n"               (17 bytes)
 //	record  type    uint8
 //	        length  uint32 big-endian        (payload bytes)
 //	        payload JSON                     (schema fixed per type; the
@@ -18,12 +18,14 @@
 //	        counts; a stream without it is truncated (an interrupted
 //	        writer), which readers report as ErrTruncated.
 //
-// v1 and v2 share the framing and record schemas; they differ only in
-// canonical record order. v1 interleaves traces before the annotation
-// records; v2 moves all side data (fingerprints, aliases, borders, ground
-// truth, degradation) ahead of the trace run, so a one-pass streaming
-// consumer can seal its annotation state before the first trace arrives.
-// Readers accept both.
+// The canonical record order puts all side data (fingerprints, aliases,
+// borders, ground truth, degradation) ahead of the trace run, so a
+// one-pass streaming consumer can seal its annotation state before the
+// first trace arrives. That order is written down once, in Data.Visit:
+// WriteData encodes through it and in-memory replays fold through it.
+//
+// A retired v1 archive (traces before the side data) is rejected with
+// ErrBadMagic like any other foreign stream.
 //
 // Writer and Reader stream one record at a time, so a campaign never needs
 // to be wholly resident; Stream in stream.go folds records into a Visitor
@@ -41,21 +43,15 @@ import (
 	"io"
 )
 
-// Magic opens every v1 archive. The trailing newline keeps accidental
-// `cat` of an archive from gluing into a terminal line and gives format
-// sniffers an unambiguous 17-byte prefix.
-const Magic = "arest.archive.v1\n"
-
-// MagicV2 opens every v2 archive (same framing as v1, side data before
-// traces). Deliberately the same length as Magic so sniffing and version
-// detection read one fixed-size prefix.
-const MagicV2 = "arest.archive.v2\n"
+// Magic opens every archive. The trailing newline keeps accidental `cat`
+// of an archive from gluing into a terminal line.
+const Magic = "arest.archive.v2\n"
 
 // Type tags one framed record.
 type Type uint8
 
-// Record types of format v1. Values are part of the on-disk format and
-// must never be renumbered.
+// Record types. Values are part of the on-disk format and must never be
+// renumbered.
 const (
 	TypeMeta        Type = 1 // campaign metadata (one per archive, first)
 	TypeVP          Type = 2 // one vantage point (index, address, trace count)
@@ -99,9 +95,9 @@ func (t Type) String() string {
 const MaxPayload = 1 << 26
 
 var (
-	// ErrBadMagic reports a stream that starts with neither Magic nor
-	// MagicV2.
-	ErrBadMagic = errors.New("archive: bad magic (not an arest.archive stream)")
+	// ErrBadMagic reports a stream that does not start with Magic; the
+	// error names the prefix it found.
+	ErrBadMagic = errors.New("archive: bad magic (not an arest.archive.v2 stream)")
 	// ErrCorrupt reports a CRC mismatch or malformed frame.
 	ErrCorrupt = errors.New("archive: corrupt record")
 	// ErrTruncated reports a stream that ended without the end trailer —
@@ -123,18 +119,12 @@ type Writer struct {
 	err     error
 }
 
-// NewWriter writes the v1 magic and returns a streaming record writer.
+// NewWriter writes the magic and returns a streaming record writer.
 // Record order is the caller's responsibility; WriteData produces the
-// canonical order for each version.
-func NewWriter(w io.Writer) (*Writer, error) { return newWriterVersion(w, 1) }
-
-func newWriterVersion(w io.Writer, version int) (*Writer, error) {
-	magic := Magic
-	if version == 2 {
-		magic = MagicV2
-	}
+// canonical order.
+func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.WriteString(Magic); err != nil {
 		return nil, fmt.Errorf("archive: write magic: %w", err)
 	}
 	return &Writer{bw: bw}, nil
@@ -237,41 +227,30 @@ func (w *Writer) Close() error {
 	return w.bw.Flush()
 }
 
-// Reader streams records out of a v1 or v2 archive.
+// Reader streams records out of an archive.
 type Reader struct {
 	br      *bufio.Reader
-	version int
 	records int
 	traces  int
 	done    bool
 	offset  int64
 }
 
-// NewReader checks the magic and returns a streaming record reader. Both
-// container versions are accepted; Version reports which one was found.
+// NewReader checks the magic and returns a streaming record reader. A
+// stream with any other prefix, a retired v1 archive included, fails with
+// ErrBadMagic naming the prefix it found.
 func NewReader(r io.Reader) (*Reader, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
 	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
+	n, err := io.ReadFull(br, magic[:])
+	if err != nil || string(magic[:]) != Magic {
+		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic[:n])
 	}
-	version := 0
-	switch string(magic[:]) {
-	case Magic:
-		version = 1
-	case MagicV2:
-		version = 2
-	default:
-		return nil, ErrBadMagic
-	}
-	return &Reader{br: br, version: version, offset: int64(len(Magic))}, nil
+	return &Reader{br: br, offset: int64(len(Magic))}, nil
 }
-
-// Version returns the container version (1 or 2) declared by the magic.
-func (r *Reader) Version() int { return r.version }
 
 // Next returns the next record's type and raw JSON payload. It returns
 // io.EOF after the end trailer has been consumed, ErrTruncated if the

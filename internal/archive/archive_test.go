@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -20,7 +19,7 @@ func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 // fixtureData builds a small hand-rolled campaign exercising every record
 // type, including edge shapes: a VP with zero traces, an unresponsive hop,
-// a revealed hop, and a decode-error hop.
+// a revealed hop, a decode-error hop, and a degradation record.
 func fixtureData() *Data {
 	rec := asgen.Record{ID: 46, ASN: 293, Name: "ESnet", Category: asgen.Transit,
 		TracesSent: 123, IPsDiscovered: 45, CiscoConfirmed: true}
@@ -47,7 +46,7 @@ func fixtureData() *Data {
 		Halt: probe.HaltGaps,
 	}
 	return &Data{
-		Meta: Meta{Format: FormatV1, Record: rec, Dep: dep, Seed: 42,
+		Meta: Meta{Format: FormatV2, Record: rec, Dep: dep, Seed: 42,
 			NumVPs: 2, MaxTargets: 8, FlowsPerTarget: 2},
 		VPs:   []netip.Addr{addr("172.16.0.1"), addr("172.16.1.1")},
 		PerVP: [][]*probe.Trace{{tr1, tr2}, {}},
@@ -59,6 +58,7 @@ func fixtureData() *Data {
 		Aliases:   [][]netip.Addr{{addr("10.1.0.1"), addr("10.1.0.3")}},
 		Borders:   map[netip.Addr]int{addr("10.1.0.1"): 293, addr("10.1.0.3"): 293},
 		SREnabled: []netip.Addr{addr("10.1.0.1"), addr("10.1.0.3")},
+		Degraded:  &Degraded{FailedTraces: 1, TotalTraces: 3, ByVP: []int{1, 0}},
 	}
 }
 
@@ -131,12 +131,26 @@ func TestCorruptedStream(t *testing.T) {
 	}
 }
 
+// TestBadMagic: anything but the v2 magic is ErrBadMagic, and the error
+// names the prefix it found, so a retired v1 archive is recognisable.
 func TestBadMagic(t *testing.T) {
-	if _, err := ReadData(strings.NewReader("#{\"asn\":1}\n{}\n")); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("jsonl input: err = %v, want ErrBadMagic", err)
-	}
-	if _, err := ReadData(strings.NewReader("arest.archive.v9\nrest")); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("wrong version: err = %v, want ErrBadMagic", err)
+	for _, tc := range []struct {
+		name, in, prefix string
+	}{
+		{"jsonl input", "#{\"asn\":1}\n{}\n", `"#{\"asn\":1}\n{}\n"`},
+		{"retired v1", "arest.archive.v1\nrest", `"arest.archive.v1\n"`},
+		{"wrong version", "arest.archive.v9\nrest", `"arest.archive.v9\n"`},
+		{"short", "arest", `"arest"`},
+		{"empty", "", `""`},
+	} {
+		_, err := ReadData(strings.NewReader(tc.in))
+		if !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s: err = %v, want ErrBadMagic", tc.name, err)
+			continue
+		}
+		if !strings.HasSuffix(err.Error(), ": "+tc.prefix) {
+			t.Errorf("%s: err = %q, want it to name the prefix %s", tc.name, err, tc.prefix)
+		}
 	}
 }
 
@@ -200,7 +214,7 @@ func TestUnknownRecordTypeSkipped(t *testing.T) {
 	if err := aw.writeRecord(TypeMeta, d.Meta); err != nil {
 		t.Fatal(err)
 	}
-	// A future additive record type must not break a v1 reader.
+	// A future additive record type must not break this reader.
 	if err := aw.writeRecord(Type(42), map[string]int{"future": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -238,24 +252,6 @@ func TestWriteFileAtomicAndReadFile(t *testing.T) {
 	}
 }
 
-func TestSniff(t *testing.T) {
-	raw := encode(t, fixtureData())
-	if !Sniff(bufio.NewReader(bytes.NewReader(raw))) {
-		t.Error("archive not recognized")
-	}
-	br := bufio.NewReader(strings.NewReader("#{\"asn\":1}\n"))
-	if Sniff(br) {
-		t.Error("jsonl recognized as archive")
-	}
-	// Sniff must not consume: the jsonl header must still be readable.
-	if b, _ := br.ReadByte(); b != '#' {
-		t.Error("Sniff consumed input")
-	}
-	if Sniff(bufio.NewReader(strings.NewReader(""))) {
-		t.Error("empty input recognized as archive")
-	}
-}
-
 func TestStreamingReaderSeesAllRecords(t *testing.T) {
 	raw := encode(t, fixtureData())
 	ar, err := NewReader(bytes.NewReader(raw))
@@ -277,7 +273,7 @@ func TestStreamingReaderSeesAllRecords(t *testing.T) {
 		}
 	}
 	want := map[Type]int{TypeMeta: 1, TypeVP: 2, TypeTrace: 2, TypeFingerprint: 3,
-		TypeAliasSet: 1, TypeBorder: 2, TypeSREnabled: 2, TypeEnd: 1}
+		TypeAliasSet: 1, TypeBorder: 2, TypeSREnabled: 2, TypeDegraded: 1, TypeEnd: 1}
 	if !reflect.DeepEqual(counts, want) {
 		t.Errorf("record counts = %v, want %v", counts, want)
 	}

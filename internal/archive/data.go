@@ -6,7 +6,6 @@ package archive
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,7 +24,7 @@ import (
 // the measurement knobs that shaped the probing. It carries everything a
 // replay needs so analysis never reaches back into the generator.
 type Meta struct {
-	Format         string           `json:"format"` // FormatV1 or FormatV2; selects the record order WriteData emits
+	Format         string           `json:"format"` // always FormatV2
 	Record         asgen.Record     `json:"record"`
 	Dep            asgen.Deployment `json:"dep"`
 	Seed           int64            `json:"seed"`
@@ -34,24 +33,10 @@ type Meta struct {
 	FlowsPerTarget int              `json:"flows_per_target"`
 }
 
-// FormatV1 and FormatV2 are the accepted Meta.Format values. The format
-// declared in the meta record must match the container magic; WriteData
-// derives the magic (and the canonical record order) from it.
-const (
-	FormatV1 = "arest.archive.v1"
-	FormatV2 = "arest.archive.v2"
-)
-
-// formatVersion maps a Meta.Format value to its container version.
-func formatVersion(format string) (int, error) {
-	switch format {
-	case FormatV1:
-		return 1, nil
-	case FormatV2:
-		return 2, nil
-	}
-	return 0, fmt.Errorf("archive: unknown meta format %q", format)
-}
+// FormatV2 is the one accepted Meta.Format value: it names the format
+// the container magic opens, and both WriteData and the reader refuse any
+// other.
+const FormatV2 = "arest.archive.v2"
 
 // VPRecord declares one vantage point and how many trace records follow
 // for it (readers use the count for preallocation; the end trailer is the
@@ -153,114 +138,108 @@ func sortedAddrs[V any](m map[netip.Addr]V) []netip.Addr {
 	return out
 }
 
-// WriteData streams the whole campaign into w in the canonical record
-// order of the version d.Meta.Format declares. v1: meta, VPs, traces
-// (grouped per VP), fingerprints (snmp then ttl, each address-sorted),
-// alias sets, borders, ground truth, degradation, end trailer. v2 moves
-// everything after the VPs ahead of the traces, so a streaming consumer
-// has all annotation state before the first trace. Either way the order
-// is canonical — byte-identical re-encoding is possible, which the
-// golden-file tests pin.
-func WriteData(w io.Writer, d *Data) error {
-	version, err := formatVersion(d.Meta.Format)
-	if err != nil {
-		return err
-	}
-	aw, err := newWriterVersion(w, version)
-	if err != nil {
-		return err
-	}
-	if err := aw.writeRecord(TypeMeta, d.Meta); err != nil {
+// Visit emits the campaign into v as the canonical record sequence: meta,
+// VPs, fingerprints (snmp then ttl, each address-sorted), alias sets,
+// borders (address-sorted), ground truth, degradation, then the traces
+// grouped per VP. This is the one place that order is written down:
+// WriteData encodes through it, and an in-memory replay folding through it
+// sees exactly the records a stream of the encoded bytes would deliver.
+// A non-nil error from v stops the walk and is returned unchanged.
+func (d *Data) Visit(v Visitor) error {
+	if err := v.Meta(d.Meta); err != nil {
 		return err
 	}
 	for i, vp := range d.VPs {
-		if err := aw.writeRecord(TypeVP, VPRecord{Index: i, Addr: vp, Traces: len(d.PerVP[i])}); err != nil {
+		if err := v.VP(VPRecord{Index: i, Addr: vp, Traces: len(d.PerVP[i])}); err != nil {
 			return err
 		}
 	}
-	if version == 1 {
-		if err := writeTraces(aw, d); err != nil {
-			return err
-		}
-		if err := writeSideData(aw, d); err != nil {
-			return err
-		}
-	} else {
-		if err := writeSideData(aw, d); err != nil {
-			return err
-		}
-		if err := writeTraces(aw, d); err != nil {
-			return err
-		}
-	}
-	return aw.Close()
-}
-
-func writeTraces(aw *Writer, d *Data) error {
-	for i, ts := range d.PerVP {
-		for _, tr := range ts {
-			if err := aw.writeTrace(TraceRecord{VPIndex: i, Trace: tr}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writeSideData(aw *Writer, d *Data) error {
 	for _, src := range []struct {
 		src FingerprintSource
 		m   map[netip.Addr]mpls.Vendor
 	}{{SourceSNMP, d.SNMP}, {SourceTTL, d.TTL}} {
 		for _, a := range sortedAddrs(src.m) {
-			if err := aw.writeRecord(TypeFingerprint, FingerprintRecord{Addr: a, Vendor: src.m[a], Source: src.src}); err != nil {
+			if err := v.Fingerprint(FingerprintRecord{Addr: a, Vendor: src.m[a], Source: src.src}); err != nil {
 				return err
 			}
 		}
 	}
 	for _, set := range d.Aliases {
-		if err := aw.writeRecord(TypeAliasSet, AliasSetRecord{Addrs: set}); err != nil {
+		if err := v.AliasSet(AliasSetRecord{Addrs: set}); err != nil {
 			return err
 		}
 	}
 	for _, a := range sortedAddrs(d.Borders) {
-		if err := aw.writeRecord(TypeBorder, BorderRecord{Addr: a, ASN: d.Borders[a]}); err != nil {
+		if err := v.Border(BorderRecord{Addr: a, ASN: d.Borders[a]}); err != nil {
 			return err
 		}
 	}
 	for _, a := range d.SREnabled {
-		if err := aw.writeRecord(TypeSREnabled, SREnabledRecord{Addr: a}); err != nil {
+		if err := v.SREnabled(SREnabledRecord{Addr: a}); err != nil {
 			return err
 		}
 	}
 	if d.Degraded != nil {
-		if err := aw.writeRecord(TypeDegraded, d.Degraded); err != nil {
+		if err := v.Degraded(*d.Degraded); err != nil {
 			return err
+		}
+	}
+	for i, ts := range d.PerVP {
+		for _, tr := range ts {
+			if err := v.Trace(TraceRecord{VPIndex: i, Trace: tr}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
+
+// WriteData streams the whole campaign into w in the canonical record
+// order of Visit, then the end trailer. The order makes the encoding a
+// function of the value — byte-identical re-encoding is possible, which
+// the golden-file test pins.
+func WriteData(w io.Writer, d *Data) error {
+	if d.Meta.Format != FormatV2 {
+		return fmt.Errorf("archive: unknown meta format %q", d.Meta.Format)
+	}
+	aw, err := NewWriter(w)
+	if err != nil {
+		return err
+	}
+	if err := d.Visit(recordWriter{aw}); err != nil {
+		return err
+	}
+	return aw.Close()
+}
+
+// recordWriter adapts a Writer to the Visitor interface: each visited
+// record is framed onto the stream as it arrives.
+type recordWriter struct{ w *Writer }
+
+func (r recordWriter) Meta(m Meta) error           { return r.w.writeRecord(TypeMeta, m) }
+func (r recordWriter) VP(rec VPRecord) error       { return r.w.writeRecord(TypeVP, rec) }
+func (r recordWriter) Trace(rec TraceRecord) error { return r.w.writeTrace(rec) }
+func (r recordWriter) Fingerprint(rec FingerprintRecord) error {
+	return r.w.writeRecord(TypeFingerprint, rec)
+}
+func (r recordWriter) AliasSet(rec AliasSetRecord) error { return r.w.writeRecord(TypeAliasSet, rec) }
+func (r recordWriter) Border(rec BorderRecord) error     { return r.w.writeRecord(TypeBorder, rec) }
+func (r recordWriter) SREnabled(rec SREnabledRecord) error {
+	return r.w.writeRecord(TypeSREnabled, rec)
+}
+func (r recordWriter) Degraded(rec Degraded) error { return r.w.writeRecord(TypeDegraded, rec) }
 
 // ReadData drains an archive into a Data. It fails with ErrTruncated on
 // a stream missing its end trailer and ErrCorrupt on checksum or schema
 // violations, so callers can distinguish "interrupted writer" from
 // "damaged file". It is a thin client of the streaming fold in stream.go.
 func ReadData(r io.Reader) (*Data, error) {
-	ar, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return ReadFrom(ar)
-}
-
-// ReadFrom drains an already-opened record stream into a Data.
-func ReadFrom(ar *Reader) (*Data, error) {
 	d := &Data{
 		SNMP:    map[netip.Addr]mpls.Vendor{},
 		TTL:     map[netip.Addr]mpls.Vendor{},
 		Borders: map[netip.Addr]int{},
 	}
-	if err := StreamRecords(ar, &dataVisitor{d: d}); err != nil {
+	if err := Stream(r, &dataVisitor{d: d}); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -367,15 +346,4 @@ func ReadFile(path string) (*Data, error) {
 	}
 	defer f.Close()
 	return ReadData(bufio.NewReader(f))
-}
-
-// Sniff reports whether br's next bytes are an archive (either version),
-// without consuming them. It lets cmd/arest accept both the binary format
-// and the legacy JSONL tracestore behind one flag.
-func Sniff(br *bufio.Reader) bool {
-	head, err := br.Peek(len(Magic))
-	if err != nil {
-		return false
-	}
-	return bytes.Equal(head, []byte(Magic)) || bytes.Equal(head, []byte(MagicV2))
 }

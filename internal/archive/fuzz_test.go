@@ -22,11 +22,11 @@ func FuzzReadArchive(f *testing.F) {
 	valid := encode(f, fixtureData())
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte(Magic))                      // magic, no records
-	f.Add(valid[:len(valid)/2])               // mid-record cut
-	f.Add(valid[:len(valid)-2])               // trailer cut
-	f.Add([]byte("#{\"asn\":1}\n{}\n"))       // legacy jsonl
-	f.Add([]byte("arest.archive.v2\nfuture")) // future magic
+	f.Add([]byte(Magic))                       // magic, no records
+	f.Add(valid[:len(valid)/2])                // mid-record cut
+	f.Add(valid[:len(valid)-2])                // trailer cut
+	f.Add([]byte("#{\"asn\":1}\n{}\n"))        // legacy jsonl
+	f.Add([]byte("arest.archive.v1\nretired")) // retired v1 magic
 	flip := bytes.Clone(valid)
 	flip[len(Magic)+9] ^= 0xff // payload bit flip -> CRC mismatch
 	f.Add(flip)
@@ -82,7 +82,7 @@ func FuzzTraceRecordDecode(f *testing.F) {
 			f.Add(body)
 		}
 	}
-	d := fixtureDataV2()
+	d := fixtureData()
 	for _, ts := range d.PerVP {
 		for _, tr := range ts {
 			body, err := json.Marshal(TraceRecord{VPIndex: 0, Trace: tr})

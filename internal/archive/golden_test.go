@@ -11,50 +11,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-const (
-	goldenPath   = "testdata/golden_v1.arest"
-	goldenPathV2 = "testdata/golden_v2.arest"
-)
+const goldenPathV2 = "testdata/golden_v2.arest"
 
-// TestGoldenV1 pins the on-disk bytes of format v1. If it fails after a
-// code change, the change altered the serialization of existing archives —
-// that needs a format bump (arest.archive.v2), not a golden refresh.
-// Regenerate with `go test ./internal/archive -run Golden -update` only
-// when the fixture itself was deliberately extended.
-func TestGoldenV1(t *testing.T) {
-	raw := encode(t, fixtureData())
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decoding the golden bytes must reproduce the fixture value...
-	got, err := ReadData(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("golden archive no longer decodes: %v", err)
-	}
-	if want := fixtureData(); !reflect.DeepEqual(got, want) {
-		t.Errorf("golden decode diverged from fixture:\n got %+v\nwant %+v", got, want)
-	}
-	// ...and encoding the fixture must reproduce the golden bytes exactly.
-	if !bytes.Equal(raw, golden) {
-		t.Errorf("encoder output changed: %d bytes, golden %d bytes; the v1 format is frozen",
-			len(raw), len(golden))
-	}
-}
-
-// TestGoldenV2 pins the on-disk bytes of format v2 the same way. A failure
-// after a code change means existing v2 archives would re-encode
-// differently — that needs a v3, not a golden refresh.
+// TestGoldenV2 pins the on-disk bytes of format v2. If it fails after a
+// code change, existing v2 archives would re-encode differently — that
+// needs a format bump (arest.archive.v3), not a golden refresh. Regenerate
+// with `go test ./internal/archive -run Golden -update` only when the
+// fixture itself was deliberately extended.
 func TestGoldenV2(t *testing.T) {
-	raw := encode(t, fixtureDataV2())
+	raw := encode(t, fixtureData())
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(goldenPathV2), 0o755); err != nil {
 			t.Fatal(err)
@@ -71,7 +36,9 @@ func TestGoldenV2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden archive no longer decodes: %v", err)
 	}
-	if want := fixtureDataV2(); !reflect.DeepEqual(got, want) {
+	// Decoding the golden bytes must reproduce the fixture value, and
+	// encoding the fixture must reproduce the golden bytes exactly.
+	if want := fixtureData(); !reflect.DeepEqual(got, want) {
 		t.Errorf("golden decode diverged from fixture:\n got %+v\nwant %+v", got, want)
 	}
 	if !bytes.Equal(raw, golden) {

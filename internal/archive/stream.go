@@ -1,9 +1,9 @@
 // Streaming fold API: Stream decodes, validates, and dispatches one
 // archive's records to a Visitor one at a time, so a consumer's memory is
 // bounded by its own accumulated state, never by the archive size.
-// ReadData/ReadFrom in data.go are thin clients folding into a
-// wholly-resident Data; exp.DetectStream folds straight into analysis
-// aggregates.
+// ReadData in data.go is a thin client folding into a wholly-resident
+// Data; exp.DetectStream folds straight into analysis aggregates. The
+// reverse direction, a resident Data emitted as records, is Data.Visit.
 package archive
 
 import (
@@ -30,23 +30,16 @@ type Visitor interface {
 }
 
 // Stream checks the magic and folds every record of the archive into v.
-// It accepts both container versions; for one-pass consumers that need
-// side data before traces, check the Reader's Version via StreamRecords.
+// It owns the structural validation shared by all consumers and returns
+// ErrBadMagic/ErrTruncated/ErrCorrupt on container damage, or the
+// visitor's own error verbatim. Unknown record types are skipped, not
+// fatal: a reader of this vintage can cross archives produced by a writer
+// with additive extensions.
 func Stream(r io.Reader, v Visitor) error {
 	ar, err := NewReader(r)
 	if err != nil {
 		return err
 	}
-	return StreamRecords(ar, v)
-}
-
-// StreamRecords folds every remaining record of an opened stream into v.
-// It owns the structural validation shared by all consumers and returns
-// ErrTruncated/ErrCorrupt on container damage, or the visitor's own error
-// verbatim. Unknown record types are skipped, not fatal: a reader of this
-// vintage can cross archives produced by a writer with additive
-// extensions.
-func StreamRecords(ar *Reader, v Visitor) error {
 	sawMeta := false
 	sawDegraded := false
 	numVPs := 0
@@ -78,8 +71,8 @@ func StreamRecords(ar *Reader, v Visitor) error {
 			if err := decode(body, &m); err != nil {
 				return err
 			}
-			if fv, err := formatVersion(m.Format); err != nil || fv != ar.Version() {
-				return fmt.Errorf("%w: meta format %q in a v%d container", ErrCorrupt, m.Format, ar.Version())
+			if m.Format != FormatV2 {
+				return fmt.Errorf("%w: meta format %q in a %s container", ErrCorrupt, m.Format, FormatV2)
 			}
 			sawMeta = true
 			if err := v.Meta(m); err != nil {

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -11,20 +10,11 @@ import (
 	"arest/internal/probe"
 )
 
-// fixtureDataV2 is the v1 fixture re-declared as format v2, with a
-// degradation record so the v2 side-data run exercises every record type.
-func fixtureDataV2() *Data {
-	d := fixtureData()
-	d.Meta.Format = FormatV2
-	d.Degraded = &Degraded{FailedTraces: 1, TotalTraces: 3, ByVP: []int{1, 0}}
-	return d
-}
-
 func TestV2RoundTrip(t *testing.T) {
-	want := fixtureDataV2()
+	want := fixtureData()
 	raw := encode(t, want)
-	if !bytes.HasPrefix(raw, []byte(MagicV2)) {
-		t.Fatalf("v2 fixture encoded under magic %q", raw[:len(MagicV2)])
+	if !bytes.HasPrefix(raw, []byte(Magic)) {
+		t.Fatalf("fixture encoded under magic %q", raw[:len(Magic)])
 	}
 	got, err := ReadData(bytes.NewReader(raw))
 	if err != nil {
@@ -43,13 +33,10 @@ func TestV2RoundTrip(t *testing.T) {
 // record, so a one-pass consumer can seal its side state before the first
 // trace.
 func TestV2TracesAfterSideData(t *testing.T) {
-	raw := encode(t, fixtureDataV2())
+	raw := encode(t, fixtureData())
 	ar, err := NewReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ar.Version() != 2 {
-		t.Fatalf("Version() = %d, want 2", ar.Version())
 	}
 	sawTrace := false
 	for {
@@ -64,7 +51,7 @@ func TestV2TracesAfterSideData(t *testing.T) {
 		case TypeTrace:
 			sawTrace = true
 		case TypeMeta, TypeVP:
-			// Precede traces in both versions.
+			// Precede traces.
 		default:
 			if sawTrace {
 				t.Fatalf("%s record after a trace in a v2 stream", typ)
@@ -110,7 +97,7 @@ func (v *recordingVisitor) Trace(TraceRecord) error {
 }
 
 func TestStreamVisitsEveryRecord(t *testing.T) {
-	raw := encode(t, fixtureDataV2())
+	raw := encode(t, fixtureData())
 	var rv recordingVisitor
 	if err := Stream(bytes.NewReader(raw), &rv); err != nil {
 		t.Fatal(err)
@@ -130,7 +117,7 @@ func TestStreamVisitsEveryRecord(t *testing.T) {
 // returned unchanged, so sentinel errors survive errors.Is.
 func TestStreamVisitorErrorPropagates(t *testing.T) {
 	sentinel := errors.New("stop here")
-	raw := encode(t, fixtureDataV2())
+	raw := encode(t, fixtureData())
 	rv := recordingVisitor{traceErr: sentinel}
 	err := Stream(bytes.NewReader(raw), &rv)
 	if !errors.Is(err, sentinel) {
@@ -147,23 +134,25 @@ func TestStreamVisitorErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestFormatContainerMismatch: the meta record's declared format must
-// match the container magic, in both directions.
+// TestFormatContainerMismatch: a meta Format other than FormatV2 is
+// ErrCorrupt, and a v2 meta does not make a retired v1 container
+// readable.
 func TestFormatContainerMismatch(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		version int
-		format  string
+		name   string
+		magic  string
+		format string
+		want   error
 	}{
-		{"v2 meta in v1 container", 1, FormatV2},
-		{"v1 meta in v2 container", 2, FormatV1},
-		{"unknown format", 1, "arest.archive.v9"},
+		{"v2 meta in v1 container", "arest.archive.v1\n", FormatV2, ErrBadMagic},
+		{"v1 meta in v2 container", Magic, "arest.archive.v1", ErrCorrupt},
+		{"unknown format", Magic, "arest.archive.v9", ErrCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := fixtureData()
 			d.Meta.Format = tc.format
 			var buf bytes.Buffer
-			aw, err := newWriterVersion(&buf, tc.version)
+			aw, err := NewWriter(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,30 +162,23 @@ func TestFormatContainerMismatch(t *testing.T) {
 			if err := aw.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ReadData(&buf); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("err = %v, want ErrCorrupt", err)
+			raw := buf.Bytes()
+			copy(raw, tc.magic)
+			if _, err := ReadData(bytes.NewReader(raw)); !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}
 }
 
 func TestWriteDataRejectsUnknownFormat(t *testing.T) {
-	d := fixtureData()
-	d.Meta.Format = "arest.archive.v9"
-	var buf bytes.Buffer
-	if err := WriteData(&buf, d); err == nil {
-		t.Fatal("unknown Meta.Format accepted by WriteData")
-	}
-}
-
-func TestSniffV2(t *testing.T) {
-	raw := encode(t, fixtureDataV2())
-	br := bufio.NewReader(bytes.NewReader(raw))
-	if !Sniff(br) {
-		t.Error("v2 archive not recognized")
-	}
-	if b, _ := br.ReadByte(); b != 'a' {
-		t.Error("Sniff consumed input")
+	for _, format := range []string{"arest.archive.v1", "arest.archive.v9", ""} {
+		d := fixtureData()
+		d.Meta.Format = format
+		var buf bytes.Buffer
+		if err := WriteData(&buf, d); err == nil {
+			t.Errorf("Meta.Format %q accepted by WriteData", format)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func TestTraceCodecRefusesWhereJSONDoes(t *testing.T) {
 	for _, rtt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		rec := &TraceRecord{Trace: &probe.Trace{Hops: []probe.Hop{{TTL: 1}, {TTL: 2, RTT: rtt}}}}
 		checkEncode(t, rec)
-		d := fixtureDataV2()
+		d := fixtureData()
 		d.PerVP[0][0].Hops[0].RTT = rtt
 		var buf bytes.Buffer
 		err := WriteData(&buf, d)

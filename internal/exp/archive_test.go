@@ -196,6 +196,52 @@ func TestSnapshotResume(t *testing.T) {
 	}
 }
 
+// TestRunShardedRemeasuresRetiredV1Shard: a shard from before the v1
+// format was retired fails with ErrBadMagic, and the runner re-measures it
+// instead of failing the AS — so an old snapshot directory resumes to the
+// current result, and the shard is rewritten byte-identical to a fresh
+// run's.
+func TestRunShardedRemeasuresRetiredV1Shard(t *testing.T) {
+	recs := testRecords(t, 2)
+	cfg := testCfg()
+
+	freshDir := filepath.Join(t.TempDir(), "fresh")
+	baseline, _, err := RunSharded(context.Background(), recs, cfg, freshDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := os.ReadFile(ShardPath(freshDir, recs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	oldDir := t.TempDir()
+	old := append([]byte("arest.archive.v1\n"), fresh[len(archive.Magic):]...)
+	if err := os.WriteFile(ShardPath(oldDir, recs[0]), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, statuses, err := RunSharded(context.Background(), recs, cfg, oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statuses[0] != ShardMeasured {
+		t.Errorf("v1 shard status %v, want ShardMeasured", statuses[0])
+	}
+	if len(resumed.Failed) != 0 {
+		t.Errorf("v1 shard failed the AS: %v", resumed.Failed)
+	}
+	rewritten, err := os.ReadFile(ShardPath(oldDir, recs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten, fresh) {
+		t.Error("re-measured shard diverged from a fresh run's shard bytes")
+	}
+	if !reflect.DeepEqual(resumed.ASes, baseline.ASes) {
+		t.Error("re-measured result diverged from a fresh run's")
+	}
+}
+
 // TestShardPath pins the shard naming scheme (resume depends on it).
 func TestShardPath(t *testing.T) {
 	rec := asgen.Record{ID: 7}

@@ -14,9 +14,9 @@
 //     seal the annotation state, then traces are analyzed in bounded
 //     batches and folded into a compact, mergeable Agg (agg.go).
 //     DetectStream runs straight off archive bytes without materializing
-//     the trace set; Detect replays an in-memory Data through the same
-//     record sequence, so live runs and archive replays are bit-identical
-//     by construction.
+//     the trace set; Detect replays an in-memory Data through
+//     archive.Data.Visit, the same record sequence WriteData encodes, so
+//     live runs and archive replays are bit-identical by construction.
 //   - Aggregate (aggregates.go, experiments.go) regenerates every table
 //     and figure of the paper as pure queries over the folded Agg.
 package exp
@@ -458,15 +458,15 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 // function of data (plus the Workers/Metrics knobs), shared verbatim by
 // live runs and archive replays.
 //
-// It is a thin client of the streaming fold in stream.go: the in-memory
-// Data is replayed through the exact record sequence its v2 encoding would
-// contain, so Detect here and DetectStream over the encoded bytes are
+// It is a thin client of the streaming fold in stream.go: data.Visit
+// replays the in-memory Data as the exact record sequence its encoding
+// contains, so Detect here and DetectStream over the encoded bytes are
 // deep-equal by construction.
 func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, error) {
 	done := cfg.Metrics.Span("exp", "stage.detect").Start()
 	defer done()
 	f := newFold(ctx, cfg, false)
-	if err := foldData(f, data); err != nil {
+	if err := data.Visit(f); err != nil {
 		return nil, err
 	}
 	return f.finish()

@@ -53,7 +53,7 @@ func FuzzDetectStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	head := []byte(archive.MagicV2)
+	head := []byte(archive.Magic)
 	side := 0
 	for {
 		typ, body, err := ar.Next()

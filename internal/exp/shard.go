@@ -142,8 +142,9 @@ func runShard(ctx context.Context, rec asgen.Record, cfg Config, dir string) (*A
 		errors.Is(err, archive.ErrTruncated),
 		errors.Is(err, archive.ErrCorrupt),
 		errors.Is(err, archive.ErrBadMagic):
-		// Fall through to re-measure: the shard never finished (or was
-		// damaged); WriteFile's temp+rename keeps this crash-safe too.
+		// Fall through to re-measure: the shard never finished, was
+		// damaged, or predates format v2 (bad magic); WriteFile's
+		// temp+rename keeps this crash-safe too.
 	default:
 		return nil, 0, shardErr(path, err)
 	}

@@ -5,7 +5,8 @@
 // stream order, so the same records yield bit-identical aggregates at every
 // worker count. DetectStream drives it straight off archive bytes without
 // ever materializing the trace set; Detect in campaign.go drives the same
-// fold from an in-memory archive.Data, which is what pins the two paths
+// fold from an in-memory archive.Data through Data.Visit, the one writer
+// of the canonical record order, which is what pins the two paths
 // deep-equal.
 package exp
 
@@ -15,7 +16,6 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"sort"
 
 	"arest/internal/archive"
 	"arest/internal/bdrmap"
@@ -271,35 +271,15 @@ func (f *fold) finish() (*ASResult, error) {
 
 // DetectStream runs the Annotate and Detect stages as a one-pass fold over
 // archive bytes: peak live memory is bounded by the accumulated aggregates
-// (plus one analyze batch), never by the archive size. For a v2 archive the
-// trace-failure budget is applied the moment the degradation record
-// arrives. A v1 archive interleaves side data after the traces, so it
-// cannot be folded one-pass; it is materialized (O(input) memory, the old
-// behavior) and folded from the Data. Either way the result is deep-equal
-// to Detect over the materialized archive.
+// (plus one analyze batch), never by the archive size. The trace-failure
+// budget is applied the moment the degradation record arrives, ahead of
+// the trace run. The result is deep-equal to Detect over the materialized
+// archive.
 func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, error) {
-	ar, err := archive.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	if ar.Version() < 2 {
-		data, err := archive.ReadFrom(ar)
-		if err != nil {
-			return nil, err
-		}
-		if err := cfg.ASBudgetErr(len(data.Traces())); err != nil {
-			return nil, err
-		}
-		if err := cfg.TraceBudgetErr(data); err != nil {
-			return nil, err
-		}
-		return Detect(ctx, data, cfg)
-	}
-	reg := cfg.Metrics
-	done := reg.Span("exp", "stage.detect").Start()
+	done := cfg.Metrics.Span("exp", "stage.detect").Start()
 	defer done()
 	f := newFold(ctx, cfg, true)
-	if err := archive.StreamRecords(ar, f); err != nil {
+	if err := archive.Stream(r, f); err != nil {
 		return nil, err
 	}
 	return f.finish()
@@ -313,68 +293,4 @@ func DetectStreamFile(ctx context.Context, path string, cfg Config) (*ASResult, 
 	}
 	defer file.Close()
 	return DetectStream(ctx, file, cfg)
-}
-
-// foldData drives a fold from an in-memory archive.Data, emitting exactly
-// the record sequence WriteData would put in a v2 archive — meta, VPs, side
-// data, traces — so Detect over a Data and DetectStream over its encoded
-// bytes produce identical results and identical instrumentation.
-func foldData(f *fold, d *archive.Data) error {
-	if err := f.Meta(d.Meta); err != nil {
-		return err
-	}
-	for i, vp := range d.VPs {
-		if err := f.VP(archive.VPRecord{Index: i, Addr: vp, Traces: len(d.PerVP[i])}); err != nil {
-			return err
-		}
-	}
-	for _, src := range []struct {
-		src archive.FingerprintSource
-		m   map[netip.Addr]mpls.Vendor
-	}{{archive.SourceSNMP, d.SNMP}, {archive.SourceTTL, d.TTL}} {
-		for _, a := range sortedAddrKeys(src.m) {
-			if err := f.Fingerprint(archive.FingerprintRecord{Addr: a, Vendor: src.m[a], Source: src.src}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, set := range d.Aliases {
-		if err := f.AliasSet(archive.AliasSetRecord{Addrs: set}); err != nil {
-			return err
-		}
-	}
-	for _, a := range sortedAddrKeys(d.Borders) {
-		if err := f.Border(archive.BorderRecord{Addr: a, ASN: d.Borders[a]}); err != nil {
-			return err
-		}
-	}
-	for _, a := range d.SREnabled {
-		if err := f.SREnabled(archive.SREnabledRecord{Addr: a}); err != nil {
-			return err
-		}
-	}
-	if d.Degraded != nil {
-		if err := f.Degraded(*d.Degraded); err != nil {
-			return err
-		}
-	}
-	for i, ts := range d.PerVP {
-		for _, tr := range ts {
-			if err := f.Trace(archive.TraceRecord{VPIndex: i, Trace: tr}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sortedAddrKeys returns a map's keys in address order, for deterministic
-// record emission from in-memory data.
-func sortedAddrKeys[V any](m map[netip.Addr]V) []netip.Addr {
-	out := make([]netip.Addr, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }

@@ -97,7 +97,7 @@ func TestDetectStreamAnalyzeWorkersInvariant(t *testing.T) {
 
 // TestDetectStreamInstrumentationMatchesDetect requires the two Detect
 // fronts to emit bit-identical deterministic metrics: same record counter,
-// same batch boundaries, same in-flight gauge — the foldData drive must be
+// same batch boundaries, same in-flight gauge — the Data.Visit drive must be
 // indistinguishable from the wire drive inside the determinism contract.
 func TestDetectStreamInstrumentationMatchesDetect(t *testing.T) {
 	data, raw := measureArchived(t, 46)

@@ -1,7 +1,6 @@
 package pkt
 
 import (
-	"net/netip"
 	"testing"
 
 	"arest/internal/mpls"
@@ -124,35 +123,4 @@ func TestAllocBudgetDecoders(t *testing.T) {
 	if len(rm.Extensions) != 1 || qip.TTL != 1 {
 		t.Fatalf("decode chain lost content: ext=%d qttl=%d", len(rm.Extensions), qip.TTL)
 	}
-}
-
-func TestAllocBudgetDecodersV6(t *testing.T) {
-	src, dst := a6("2001:db8::1"), a6("2001:db8::2")
-	msg := &ICMPv6{Type: ICMPv6EchoRequest, ID: 5, Seq: 9, Body: []byte("ping")}
-	icmpWire, err := msg.Marshal(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rm ICMPv6
-	requireAllocs(t, "ICMPv6 decode", 0, func() {
-		if err := UnmarshalICMPv6Into(&rm, src, dst, icmpWire); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	seg := netip.MustParseAddr("2001:db8::9")
-	h := &SRH{NextHeader: ProtoICMPv6, SegmentsLeft: 1, Segments: []netip.Addr{seg, seg}}
-	srhWire, err := h.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rh SRH
-	if _, err := UnmarshalSRHInto(&rh, srhWire); err != nil {
-		t.Fatal(err) // warm up segment capacity
-	}
-	requireAllocs(t, "SRH decode", 0, func() {
-		if _, err := UnmarshalSRHInto(&rh, srhWire); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

@@ -23,12 +23,6 @@ func randV4(rng *rand.Rand) netip.Addr {
 	return netip.AddrFrom4(a)
 }
 
-func randV6(rng *rand.Rand) netip.Addr {
-	var a [16]byte
-	rng.Read(a[:])
-	return netip.AddrFrom16(a)
-}
-
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	rng.Read(b)
@@ -191,124 +185,6 @@ func TestAppendMarshalEquivalenceICMP(t *testing.T) {
 		}
 		if !icmpEqual(legacy, &into) {
 			t.Fatalf("Into decode differs from legacy:\nlegacy %+v\n  into %+v", legacy, &into)
-		}
-	}
-}
-
-func TestAppendMarshalEquivalenceICMPv6(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	var scratch []byte
-	var into ICMPv6
-	for i := 0; i < equivRounds; i++ {
-		src, dst := randV6(rng), randV6(rng)
-		var m *ICMPv6
-		if rng.Intn(2) == 0 {
-			typ := uint8(ICMPv6EchoRequest)
-			if rng.Intn(2) == 0 {
-				typ = ICMPv6EchoReply
-			}
-			m = &ICMPv6{Type: typ, ID: uint16(rng.Intn(1 << 16)),
-				Seq: uint16(rng.Intn(1 << 16)), Body: randBytes(rng, rng.Intn(48))}
-		} else {
-			quoted := &IPv6{NextHeader: ProtoICMPv6, HopLimit: 1,
-				Src: randV6(rng), Dst: randV6(rng), Payload: randBytes(rng, 8+rng.Intn(24))}
-			qb, err := quoted.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m = &ICMPv6{Type: ICMPv6TimeExceeded, Body: qb}
-			if rng.Intn(2) == 0 {
-				stack := mpls.Stack{{Label: uint32(16 + rng.Intn(1<<19)), TTL: uint8(rng.Intn(256))}}
-				obj, err := NewMPLSExtension(stack)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.Extensions = []ExtensionObject{obj}
-			}
-		}
-		want, err := m.Marshal(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch = checkAppendEquiv(t, want, scratch, func(b []byte) ([]byte, error) {
-			return m.AppendMarshal(b, src, dst)
-		})
-
-		legacy, err := UnmarshalICMPv6(src, dst, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := UnmarshalICMPv6Into(&into, src, dst, want); err != nil {
-			t.Fatalf("UnmarshalICMPv6Into: %v", err)
-		}
-		if legacy.Type != into.Type || legacy.Code != into.Code ||
-			legacy.ID != into.ID || legacy.Seq != into.Seq ||
-			!bytes.Equal(legacy.Body, into.Body) ||
-			len(legacy.Extensions) != len(into.Extensions) {
-			t.Fatalf("Into decode differs from legacy:\nlegacy %+v\n  into %+v", legacy, &into)
-		}
-	}
-}
-
-func TestAppendMarshalEquivalenceIPv6AndSRH(t *testing.T) {
-	rng := rand.New(rand.NewSource(405))
-	var scratch, scratch2 []byte
-	var intoIP IPv6
-	var intoSRH SRH
-	for i := 0; i < equivRounds; i++ {
-		p := &IPv6{
-			TrafficClass: uint8(rng.Intn(256)),
-			FlowLabel:    uint32(rng.Intn(1 << 20)),
-			NextHeader:   uint8(rng.Intn(256)),
-			HopLimit:     uint8(rng.Intn(256)),
-			Src:          randV6(rng),
-			Dst:          randV6(rng),
-			Payload:      randBytes(rng, rng.Intn(64)),
-		}
-		want, err := p.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch = checkAppendEquiv(t, want, scratch, p.AppendMarshal)
-		if err := UnmarshalIPv6Into(&intoIP, want); err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := UnmarshalIPv6(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy.Src != intoIP.Src || legacy.Dst != intoIP.Dst ||
-			!bytes.Equal(legacy.Payload, intoIP.Payload) {
-			t.Fatalf("IPv6 Into decode differs from legacy")
-		}
-
-		nseg := 1 + rng.Intn(5)
-		h := &SRH{NextHeader: ProtoICMPv6, SegmentsLeft: uint8(rng.Intn(nseg + 1)),
-			Segments: make([]netip.Addr, nseg)}
-		for j := range h.Segments {
-			h.Segments[j] = randV6(rng)
-		}
-		wantSRH, err := h.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch2 = checkAppendEquiv(t, wantSRH, scratch2, h.AppendMarshal)
-		n, err := UnmarshalSRHInto(&intoSRH, wantSRH)
-		if err != nil || n != len(wantSRH) {
-			t.Fatalf("UnmarshalSRHInto: n=%d err=%v", n, err)
-		}
-		legacySRH, n2, err := UnmarshalSRH(wantSRH)
-		if err != nil || n2 != n {
-			t.Fatalf("UnmarshalSRH: n=%d err=%v", n2, err)
-		}
-		if legacySRH.SegmentsLeft != intoSRH.SegmentsLeft ||
-			len(legacySRH.Segments) != len(intoSRH.Segments) {
-			t.Fatalf("SRH Into decode differs from legacy")
-		}
-		for j := range legacySRH.Segments {
-			if legacySRH.Segments[j] != intoSRH.Segments[j] {
-				t.Fatalf("SRH segment %d differs", j)
-			}
 		}
 	}
 }

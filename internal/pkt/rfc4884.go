@@ -2,12 +2,15 @@ package pkt
 
 import "encoding/binary"
 
-// This file holds the RFC 4884 original-datagram helpers shared by the
-// ICMPv4 and ICMPv6 codecs. Both protocols pad the quoted datagram to a
-// fixed 128-byte field when extension objects follow it, and both strip
-// that zero padding on decode by re-reading the quoted IP total length;
-// only the length-attribute units differ (32-bit words for ICMPv4, 8-octet
-// units for ICMPv6), and those stay in the per-protocol codecs.
+// This file holds the RFC 4884 original-datagram helpers of the ICMP
+// codec. The quoted datagram is padded to a fixed 128-byte field when
+// extension objects follow it, and that zero padding is stripped on decode
+// by re-reading the quoted IP total length.
+
+// IPv6HeaderLen is the fixed IPv6 header length. An ICMPv4 error received
+// off the wire may quote an IPv6 datagram; quotedLen sizes such a quote
+// from it.
+const IPv6HeaderLen = 40
 
 // appendPaddedOriginal appends the RFC 4884 original datagram field: orig
 // truncated to origDatagramPadLen bytes, zero-padded up to exactly that

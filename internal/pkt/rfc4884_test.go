@@ -3,6 +3,7 @@ package pkt
 import (
 	"bytes"
 	"encoding/binary"
+	"net/netip"
 	"testing"
 )
 
@@ -65,13 +66,17 @@ func TestTrimOriginalIPv4(t *testing.T) {
 	}
 }
 
+// An ICMPv4 error may quote an IPv6 datagram: the quote's length comes
+// from the IPv6 payload-length field, not from an IPv4 total length.
 func TestTrimOriginalIPv6(t *testing.T) {
-	p := &IPv6{NextHeader: ProtoICMPv6, HopLimit: 3, Src: a6("2001:db8::1"),
-		Dst: a6("2001:db8::2"), Payload: []byte{1, 2, 3, 4}}
-	wire, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := make([]byte, IPv6HeaderLen, IPv6HeaderLen+4)
+	wire[0] = 6 << 4
+	binary.BigEndian.PutUint16(wire[4:], 4) // payload length
+	wire[6] = 58                            // next header: ICMPv6
+	wire[7] = 3                             // hop limit
+	copy(wire[8:24], netip.MustParseAddr("2001:db8::1").AsSlice())
+	copy(wire[24:40], netip.MustParseAddr("2001:db8::2").AsSlice())
+	wire = append(wire, 1, 2, 3, 4)
 	padded := appendPaddedOriginal(nil, wire)
 	if got := trimOriginal(padded); !bytes.Equal(got, wire) {
 		t.Fatalf("v6 trim = %d bytes, want %d", len(got), len(wire))
