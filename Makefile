@@ -13,8 +13,14 @@ build:
 test:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./...
 
+# Formatting is part of vet: any tracked .go file outside testdata/ that
+# gofmt would rewrite fails the target (CI runs it).
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(git ls-files '*.go' | grep -Ev '(^|/)testdata/' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Race-enabled suite: includes the concurrent netsim.Send stress test and
 # the parallel-vs-sequential campaign equivalence tests.

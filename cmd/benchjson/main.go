@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -43,13 +44,15 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Run is one labeled invocation of the bench suite. CPU is the model go
-// test prints in its "cpu:" header and GOMAXPROCS the value the run's
-// name suffixes were read against, so runs from different hosts or
-// settings can be told apart.
+// Run is one labeled invocation of the bench suite. CPU, GOOS and GOARCH
+// are what go test prints in its "cpu:", "goos:" and "goarch:" headers,
+// and GOMAXPROCS the value the run's name suffixes were read against, so
+// runs from different hosts or settings can be told apart.
 type Run struct {
 	Label      string   `json:"label"`
 	CPU        string   `json:"cpu,omitempty"`
+	GOOS       string   `json:"goos,omitempty"`
+	GOARCH     string   `json:"goarch,omitempty"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Results    []Result `json:"results"`
 }
@@ -65,12 +68,12 @@ func main() {
 	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "GOMAXPROCS of the go test run; only this -N name suffix is stripped")
 	flag.Parse()
 
-	results, cpu, err := parse(os.Stdin, *procs)
+	run, err := parse(os.Stdin, *procs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	if len(results) == 0 {
+	if len(run.Results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
@@ -84,7 +87,7 @@ func main() {
 			}
 		}
 	}
-	run := Run{Label: *label, CPU: cpu, GOMAXPROCS: *procs, Results: results}
+	run.Label, run.GOMAXPROCS = *label, *procs
 	replaced := false
 	for i := range doc.Runs {
 		if doc.Runs[i].Label == *label {
@@ -115,22 +118,26 @@ func main() {
 
 // parse reads `go test -bench` output: "pkg:" lines set the package of the
 // benchmark lines that follow (the format go test emits when benchmarking
-// multiple packages), and the first "cpu:" line names the host's CPU;
-// everything else that does not start with "Benchmark" is ignored.
-func parse(r *os.File, procs int) (results []Result, cpu string, err error) {
+// multiple packages), and the first "cpu:", "goos:" and "goarch:" lines
+// describe the host; everything else that does not start with "Benchmark"
+// is ignored. The returned Run carries the results and the host fields.
+func parse(r io.Reader, procs int) (run Run, err error) {
 	pkg := ""
+	host := map[string]*string{"cpu:": &run.CPU, "goos:": &run.GOOS, "goarch:": &run.GOARCH}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		key, val, _ := strings.Cut(line, " ")
+		if field, ok := host[key]; ok {
+			if *field == "" {
+				*field = strings.TrimSpace(val)
+			}
+			continue
+		}
 		switch {
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			if cpu == "" {
-				cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			}
 			continue
 		case strings.HasPrefix(line, "ok ") || strings.HasPrefix(line, "ok\t"):
 			// Package summary; the next package's "pkg:" line follows.
@@ -140,13 +147,13 @@ func parse(r *os.File, procs int) (results []Result, cpu string, err error) {
 		}
 		res, ok, err := parseLine(line, pkg, procs)
 		if err != nil {
-			return nil, "", err
+			return Run{}, err
 		}
 		if ok {
-			results = append(results, res)
+			run.Results = append(run.Results, res)
 		}
 	}
-	return results, cpu, sc.Err()
+	return run, sc.Err()
 }
 
 // parseLine parses one "BenchmarkX-8  N  v ns/op [v B/op  v allocs/op]"

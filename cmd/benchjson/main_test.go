@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseLineStripsOnlyTheGOMAXPROCSSuffix(t *testing.T) {
 	for _, tc := range []struct {
@@ -26,5 +29,31 @@ func TestParseLineStripsOnlyTheGOMAXPROCSSuffix(t *testing.T) {
 		if res.Name != tc.want {
 			t.Errorf("parseLine(%q, %d) name = %q, want %q", tc.line, tc.procs, res.Name, tc.want)
 		}
+	}
+}
+
+func TestParseRecordsHost(t *testing.T) {
+	const out = `goos: linux
+goarch: amd64
+pkg: arest/internal/pkt
+cpu: AMD EPYC 7B13
+BenchmarkEncode-2 10 100 ns/op 0 B/op 0 allocs/op
+ok  	arest/internal/pkt	0.1s
+goos: darwin
+goarch: arm64
+pkg: arest/internal/probe
+cpu: Apple M2
+BenchmarkProbe-2 10 200 ns/op
+`
+	run, err := parse(strings.NewReader(out), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first header of each kind wins, as for cpu.
+	if run.GOOS != "linux" || run.GOARCH != "amd64" || run.CPU != "AMD EPYC 7B13" {
+		t.Errorf("host = goos %q goarch %q cpu %q, want linux amd64 AMD EPYC 7B13", run.GOOS, run.GOARCH, run.CPU)
+	}
+	if len(run.Results) != 2 || run.Results[0].Pkg != "arest/internal/pkt" || run.Results[1].Name != "BenchmarkProbe" {
+		t.Errorf("results = %+v", run.Results)
 	}
 }

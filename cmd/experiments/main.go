@@ -58,7 +58,6 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdout, stderr io.Wr
 	maxRouters := fs.Int("max-routers", 60, "per-AS topology cap")
 	seed := fs.Int64("seed", 20250405, "campaign seed")
 	workers := fs.Int("workers", 0, "worker pool size for every pipeline stage (0 = GOMAXPROCS, 1 = sequential)")
-	analyzeWorkers := fs.Int("analyze-workers", 0, "worker pool size for the per-shard analysis fold (0 = same as -workers); lets a replay analyze many shards concurrently with a few workers each")
 	outDir := fs.String("o", "", "write each experiment to <dir>/<id>.txt instead of stdout")
 	snapshotDir := fs.String("snapshot", "", "snapshot/resume mode: persist per-AS archive shards under <dir> and skip ASes whose shard is already complete")
 	maxASFailures := fs.Int("max-as-failures", 0, "tolerate up to this many failed ASes before exiting non-zero (-1 = unlimited); failed ASes are always reported and excluded from analysis")
@@ -126,7 +125,6 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdout, stderr io.Wr
 	cfg.MaxTargets = *targets
 	cfg.MaxRouters = *maxRouters
 	cfg.Workers = *workers
-	cfg.AnalyzeWorkers = *analyzeWorkers
 	cfg.MaxTraceFailures = *maxTraceFailures
 	cfg.MaxASTraces = *asBudget
 	cfg.StallTimeout = *stallTimeout

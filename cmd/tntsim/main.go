@@ -13,7 +13,7 @@
 // archive is ever written — the output is produced only from a complete
 // measurement) and exits with status 3; a second signal aborts
 // immediately. -deadline bounds the run the same way; -as-budget is the
-// deterministic trace budget and -stall-timeout arms the stall watchdog.
+// deterministic trace budget.
 package main
 
 import (
@@ -59,7 +59,6 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdout, stderr io.Wr
 	maxASFailures := fs.Int("max-as-failures", 0, "0 = exit non-zero when the AS exceeds its trace-failure budget; >=1 = tolerate it (the archive is written either way)")
 	deadline := fs.Duration("deadline", 0, "wall-clock budget for the run; on expiry the measurement drains like a first signal and exits with status 3")
 	asBudget := fs.Int("as-budget", 0, "deterministic trace budget: quarantine the AS before probing if its plan demands more traces (0 = unlimited)")
-	stallTimeout := fs.Duration("stall-timeout", 0, "wall-clock watchdog: cancel the measurement if it makes no progress for this long (0 = off)")
 	if err := fs.Parse(argv); err != nil {
 		return lifecycle.ExitFailure
 	}
@@ -99,7 +98,6 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdout, stderr io.Wr
 	cfg.FlowsPerTarget = *flows
 	cfg.MaxTraceFailures = *maxTraceFailures
 	cfg.MaxASTraces = *asBudget
-	cfg.StallTimeout = *stallTimeout
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.New()

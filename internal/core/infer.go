@@ -6,7 +6,7 @@ import (
 	"arest/internal/mpls"
 )
 
-// SRGBEstimate is the outcome of InferSRGB.
+// SRGBEstimate is the outcome of InferSRGBLabels.
 type SRGBEstimate struct {
 	// Observed is the tight range spanned by the sampled node-SID labels.
 	Observed mpls.LabelRange
@@ -20,29 +20,15 @@ type SRGBEstimate struct {
 	Samples int
 }
 
-// minSRGBSamples is the smallest evidence base InferSRGB accepts.
+// minSRGBSamples is the smallest evidence base InferSRGBLabels accepts.
 const minSRGBSamples = 3
 
-// InferSRGB estimates a domain's configured SRGB from AReST results: the
-// active labels of sequence-flagged segments are node-SID labels, which by
-// construction all fall inside the (domain-wide, RFC 8402) SRGB. This
-// extends the paper's characterization: beyond *that* SR is deployed, it
-// recovers *how* the label space was provisioned — in particular whether
+// InferSRGBLabels estimates a domain's configured SRGB from the active
+// labels of sequence-flagged (CVR/CO) segments: those are node-SID labels,
+// which by construction all fall inside the (domain-wide, RFC 8402) SRGB.
+// This extends the paper's characterization: beyond *that* SR is deployed,
+// it recovers *how* the label space was provisioned — in particular whether
 // the operator kept a vendor default (the survey's 70%) or customized it.
-func InferSRGB(results []*Result) (SRGBEstimate, bool) {
-	labelSet := map[uint32]bool{}
-	for _, res := range results {
-		for _, s := range res.Segments {
-			if s.Flag == FlagCVR || s.Flag == FlagCO {
-				labelSet[s.Label] = true
-			}
-		}
-	}
-	return InferSRGBLabels(labelSet)
-}
-
-// InferSRGBLabels runs the same estimate over an already-collected set of
-// sequence-flagged labels, for callers that fold results incrementally.
 func InferSRGBLabels(labelSet map[uint32]bool) (SRGBEstimate, bool) {
 	if len(labelSet) < minSRGBSamples {
 		return SRGBEstimate{}, false

@@ -35,26 +35,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// Judge aggregates per-path results into an AS-level verdict.
-// externallyConfirmed marks ASes whose deployment is claimed through the
-// survey or vendor channels.
-func Judge(results []*Result, externallyConfirmed bool) Verdict {
-	strong, lso := 0, 0
-	for _, res := range results {
-		for _, s := range res.Segments {
-			if s.Flag.Strong() {
-				strong++
-			} else if s.Flag == FlagLSO {
-				lso++
-			}
-		}
-	}
-	return JudgeCounts(strong, lso, externallyConfirmed)
-}
-
-// JudgeCounts applies the same interpretive framework to pre-aggregated
-// segment counts, for callers that fold results incrementally and retain
-// only per-flag tallies.
+// JudgeCounts aggregates an AS's strong-flag and LSO segment counts into
+// an AS-level verdict. externallyConfirmed marks ASes whose deployment is
+// claimed through the survey or vendor channels.
 func JudgeCounts(strong, lso int, externallyConfirmed bool) Verdict {
 	switch {
 	case strong > 0 && (externallyConfirmed || lso > 0):
@@ -66,20 +49,4 @@ func JudgeCounts(strong, lso int, externallyConfirmed bool) Verdict {
 	default:
 		return VerdictNoEvidence
 	}
-}
-
-// ConservativeSegments filters a result set down to the segments the
-// verdict allows counting: under an ambiguous verdict LSO segments are
-// excluded entirely (as Sec. 6.3 does for the rest of the paper), while
-// under corroborated verdicts they are retained.
-func ConservativeSegments(results []*Result, v Verdict) []Segment {
-	var out []Segment
-	for _, res := range results {
-		for _, s := range res.Segments {
-			if s.Flag.Strong() || (s.Flag == FlagLSO && v == VerdictCorroborated) {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
 }

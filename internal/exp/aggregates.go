@@ -1,8 +1,6 @@
 // Aggregate queries for one AS: every table and figure row the experiments
 // consume, computed from the folded Agg (agg.go). These are pure reads —
-// the per-trace work already happened inside the Detect fold — and none of
-// them touch the retained PerVP/Paths/Results, so they are identical in
-// compact and retained mode.
+// the per-trace work already happened inside the Detect fold.
 package exp
 
 import (
@@ -246,16 +244,6 @@ func (r *ASResult) GroundTruth() map[core.Flag]eval.Confusion {
 	return out
 }
 
-// SortedFlagKeys lists the flags present in a count map, strongest first.
-func SortedFlagKeys(m map[core.Flag]int) []core.Flag {
-	var keys []core.Flag
-	for f := range m {
-		keys = append(keys, f)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // Verdict applies the Sec. 6.3 interpretive framework to the AS: strong
 // flags, LSO corroboration, and external confirmation combine into one
 // deployment verdict.
@@ -272,7 +260,7 @@ func (r *ASResult) Verdict() core.Verdict {
 }
 
 // InferSRGB estimates the AS's configured SRGB from the labels of
-// sequence-flagged segments the fold collected (see core.InferSRGB).
+// sequence-flagged segments the fold collected (see core.InferSRGBLabels).
 func (r *ASResult) InferSRGB() (core.SRGBEstimate, bool) {
 	return core.InferSRGBLabels(r.Agg.SeqLabels)
 }

@@ -33,7 +33,6 @@ import (
 	"arest/internal/archive"
 	"arest/internal/asgen"
 	"arest/internal/bdrmap"
-	"arest/internal/core"
 	"arest/internal/fingerprint"
 	"arest/internal/obs"
 	"arest/internal/par"
@@ -70,16 +69,6 @@ type Config struct {
 	// wall-clock time and are excluded from that contract. A nil registry
 	// costs only nil checks.
 	Metrics *obs.Registry
-	// AnalyzeWorkers, when non-zero, bounds the concurrency of the Detect
-	// fold's per-batch analysis independently of Workers (so a replay can
-	// analyze many shards concurrently, each with a few analysis workers).
-	// 0 falls back to Workers. Aggregates are identical at every value.
-	AnalyzeWorkers int
-	// KeepPaths opts into retained mode: ASResult additionally carries the
-	// per-VP traces, restricted paths, and per-path results. Off (the
-	// default), Detect's output is the compact Agg — O(results) memory —
-	// which every aggregate method is computed from either way.
-	KeepPaths bool
 	// MaxTraceFailures is the per-AS budget of traces that may halt with
 	// probe.HaltError before the AS is quarantined: 0 (the default)
 	// tolerates none, a negative value tolerates any number. The budget is
@@ -109,7 +98,8 @@ type Config struct {
 	// watchdog runs on the obs clock and sits outside the determinism
 	// contract: it never fires in a healthy run, and when it fires the AS
 	// lands in Campaign.Failed through the same containment as any other
-	// stage error.
+	// stage error. Only the campaign drivers (Run, RunSharded) supervise;
+	// MeasureAS and RunAS on their own run unwatched.
 	StallTimeout time.Duration
 	// Watchdog, when non-nil, supervises instead of a StallTimeout-started
 	// one — the test seam: tests inject a watchdog on a fake clock and
@@ -164,12 +154,14 @@ func (c Config) startWatchdog() (wd *obs.Watchdog, stop func()) {
 // workers resolves the configured concurrency bound.
 func (c Config) workers() int { return par.Workers(c.Workers) }
 
-// analyzeWorkers resolves the Detect-fold concurrency bound.
-func (c Config) analyzeWorkers() int {
-	if c.AnalyzeWorkers != 0 {
-		return par.Workers(c.AnalyzeWorkers)
+// deployment derives rec's ground-truth deployment under the campaign
+// seed, with the topology clamped to MaxRouters.
+func (c Config) deployment(rec asgen.Record) asgen.Deployment {
+	dep := asgen.DeploymentFor(rec, c.Seed)
+	if c.MaxRouters > 0 && dep.Routers > c.MaxRouters {
+		dep.Routers = c.MaxRouters
 	}
-	return c.workers()
+	return dep
 }
 
 // DefaultConfig returns a laptop-scale campaign configuration.
@@ -184,12 +176,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// VPTraces groups one vantage point's traces.
-type VPTraces struct {
-	VP     netip.Addr
-	Traces []*probe.Trace
-}
-
 // ASResult is the analysis output for one targeted AS. It is built by
 // Detect as a pure function of an archive.Data — it holds no reference to
 // the measurement-side *asgen.World, so a replayed archive yields a result
@@ -198,35 +184,16 @@ type ASResult struct {
 	Record asgen.Record
 	// Dep is the archived ground-truth deployment configuration (e.g. the
 	// provisioned SRGB the inference extension is validated against).
-	Dep        asgen.Deployment
-	Annotator  *fingerprint.Annotator
-	Annotation bdrmap.Annotation
+	Dep asgen.Deployment
 	// SREnabled is the simulator's exported ground truth: the interface
 	// addresses of SR-enabled routers inside the target AS.
 	SREnabled map[netip.Addr]bool
 	// Agg is the folded analysis: every aggregate the experiments consume,
-	// accumulated one trace at a time (see agg.go). It is always populated
-	// and is the only per-trace state Detect retains by default.
+	// accumulated one trace at a time (see agg.go). It is the only per-trace
+	// state Detect retains.
 	Agg *Agg
-	// PerVP, Paths, and Results are retained mode (Config.KeepPaths): the
-	// per-VP traces, the annotated traces restricted to the target AS
-	// (bdrmapIT delimitation), and their AReST results in parallel. All
-	// three are nil when KeepPaths is off.
-	PerVP   []VPTraces
-	Paths   []*core.Path
-	Results []*core.Result
 	// TracesSent counts probes-carrying traces issued for this AS.
 	TracesSent int
-}
-
-// Traces flattens all vantage points' traces (retained mode only; nil
-// without Config.KeepPaths).
-func (r *ASResult) Traces() []*probe.Trace {
-	var out []*probe.Trace
-	for _, v := range r.PerVP {
-		out = append(out, v.Traces...)
-	}
-	return out
 }
 
 // MeasureAS runs the measurement stage for one catalogue record with its
@@ -238,16 +205,12 @@ func (r *ASResult) Traces() []*probe.Trace {
 // returns the cause; an aborted measurement yields no Data at all, so
 // nothing cancellation-shaped can reach the archive.
 func MeasureAS(ctx context.Context, rec asgen.Record, cfg Config) (*archive.Data, error) {
-	dep := asgen.DeploymentFor(rec, cfg.Seed)
-	if cfg.MaxRouters > 0 && dep.Routers > cfg.MaxRouters {
-		dep.Routers = cfg.MaxRouters
-	}
-	return measureWithDeployment(ctx, rec, dep, cfg)
+	return measure(ctx, rec, cfg.deployment(rec), cfg)
 }
 
-// measureWithDeployment measures against an explicit deployment (used by
-// the longitudinal extension to sweep SRFrac).
-func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config) (*archive.Data, error) {
+// measure measures against an explicit deployment (the longitudinal
+// extension sweeps its SRFrac).
+func measure(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config) (*archive.Data, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
@@ -456,53 +419,33 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 // vendor fingerprints and bdrmap owners are applied per hop, traces are
 // delimited to the target AS, and AReST analyzes each path. It is a pure
 // function of data (plus the Workers/Metrics knobs), shared verbatim by
-// live runs and archive replays.
+// live runs and archive replays, and applies the plan and trace-failure
+// budgets exactly as DetectStream does.
 //
 // It is a thin client of the streaming fold in stream.go: data.Visit
 // replays the in-memory Data as the exact record sequence its encoding
 // contains, so Detect here and DetectStream over the encoded bytes are
 // deep-equal by construction.
 func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, error) {
-	done := cfg.Metrics.Span("exp", "stage.detect").Start()
-	defer done()
-	f := newFold(ctx, cfg, false)
-	if err := data.Visit(f); err != nil {
-		return nil, err
-	}
-	return f.finish()
+	return detect(ctx, cfg, data.Visit)
 }
 
 // RunAS executes the full staged pipeline for one catalogue record:
-// Measure, then Annotate+Detect over the in-memory campaign data, with the
-// trace-failure budget applied in between. The archive stage is a
-// pass-through here; writing the data out and replaying it through Detect
-// yields a deep-equal result (the roundtrip-equivalence test pins this).
-// Errors carry their pipeline stage (StageError); a cancelled ctx surfaces
-// as its cause (see IsInterrupt), never as a stage fault.
+// Measure, then Annotate+Detect over the in-memory campaign data. The
+// archive stage is a pass-through here; writing the data out and replaying
+// it through Detect yields a deep-equal result (the roundtrip-equivalence
+// test pins this). Errors carry their pipeline stage (StageError); a
+// budget verdict keeps its StageMeasure attribution, and a cancelled ctx
+// surfaces as its cause (see IsInterrupt), never as a stage fault.
 func RunAS(ctx context.Context, rec asgen.Record, cfg Config) (*ASResult, error) {
-	data, err := MeasureAS(ctx, rec, cfg)
-	if err != nil {
-		return nil, stageErr(StageMeasure, err)
-	}
-	if err := cfg.TraceBudgetErr(data); err != nil {
-		return nil, err
-	}
-	res, err := Detect(ctx, data, cfg)
-	if err != nil {
-		return nil, stageErr(StageDetect, err)
-	}
-	return res, nil
+	return runAS(ctx, rec, cfg.deployment(rec), cfg)
 }
 
-// runASWithDeployment runs measure+detect against an explicit deployment
-// (longitudinal extension).
-func runASWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config) (*ASResult, error) {
-	data, err := measureWithDeployment(ctx, rec, dep, cfg)
+// runAS is RunAS against an explicit deployment.
+func runAS(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config) (*ASResult, error) {
+	data, err := measure(ctx, rec, dep, cfg)
 	if err != nil {
 		return nil, stageErr(StageMeasure, err)
-	}
-	if err := cfg.TraceBudgetErr(data); err != nil {
-		return nil, err
 	}
 	res, err := Detect(ctx, data, cfg)
 	if err != nil {
@@ -540,15 +483,30 @@ type Campaign struct {
 // cancelled individually and lands in Failed with a StallError while the
 // rest of the campaign proceeds.
 func Run(ctx context.Context, records []asgen.Record, cfg Config) (*Campaign, error) {
+	c, _, err := runCampaign(ctx, records, cfg, func(ctx context.Context, rec asgen.Record, cfg Config) (*ASResult, ShardStatus, error) {
+		res, err := RunAS(ctx, rec, cfg)
+		return res, ShardMeasured, err
+	})
+	return c, err
+}
+
+// runCampaign is the one campaign driver behind Run and RunSharded: it
+// fans runOne out over the kept records under the watchdog, then
+// classifies every AS in catalogue order as a result, a quarantined
+// failure, or an interrupted skip. statuses parallel the kept records:
+// runOne's status for a result, ShardFailed or ShardInterrupted otherwise.
+func runCampaign(ctx context.Context, records []asgen.Record, cfg Config,
+	runOne func(context.Context, asgen.Record, Config) (*ASResult, ShardStatus, error)) (*Campaign, []ShardStatus, error) {
 	kept := keptRecords(records)
 	results := make([]*ASResult, len(kept))
+	statuses := make([]ShardStatus, len(kept))
 	errs := make([]error, len(kept))
 	wd, stopWD := cfg.startWatchdog()
 	defer stopWD()
 	fanErr := par.ForEach(ctx, cfg.workers(), len(kept), func(i int) {
 		asCtx, asCfg, finish := cfg.supervised(ctx, wd, kept[i])
 		defer finish()
-		results[i], errs[i] = RunAS(asCtx, kept[i], asCfg)
+		results[i], statuses[i], errs[i] = runOne(asCtx, kept[i], asCfg)
 	})
 
 	c := &Campaign{Cfg: cfg}
@@ -557,15 +515,15 @@ func Run(ctx context.Context, records []asgen.Record, cfg Config) (*Campaign, er
 		switch {
 		case errs[i] == nil && results[i] != nil:
 			c.ASes = append(c.ASes, results[i])
-		case errs[i] == nil:
-			// Never claimed before cancellation reached the pool.
-			interrupted++
-		case IsInterrupt(errs[i]) && ctx.Err() != nil:
-			// Campaign-level interrupt: a resumed run completes this AS
-			// identically, so recording it as Failed would make the failure
-			// list depend on interrupt timing.
+		case errs[i] == nil, IsInterrupt(errs[i]) && ctx.Err() != nil:
+			// Never claimed before cancellation reached the pool, or cut
+			// short by a campaign-level interrupt: a resumed run completes
+			// this AS identically, so recording it as Failed would make the
+			// failure list depend on interrupt timing.
+			statuses[i] = ShardInterrupted
 			interrupted++
 		default:
+			statuses[i] = ShardFailed
 			c.Failed = append(c.Failed, ASFailure{Record: rec, Stage: FailureStage(errs[i]), Err: errs[i]})
 		}
 	}
@@ -575,9 +533,9 @@ func Run(ctx context.Context, records []asgen.Record, cfg Config) (*Campaign, er
 		if fanErr == nil {
 			fanErr = context.Cause(ctx)
 		}
-		return c, fanErr
+		return c, statuses, fanErr
 	}
-	return c, nil
+	return c, statuses, nil
 }
 
 // countInterrupt records campaign-interruption accounting: exp.cancelled
@@ -613,8 +571,7 @@ func keptRecords(records []asgen.Record) []asgen.Record {
 // MergedAgg folds every AS's aggregate into one campaign-level Agg,
 // merging in catalogue (AS-ID) order. Merge is commutative, so the order
 // only matters for reading the code, not the result; campaign-wide
-// experiments (Figs. 11–12) consume this instead of walking retained
-// per-AS results.
+// experiments (Figs. 11–12) consume this.
 func (c *Campaign) MergedAgg() *Agg {
 	m := NewAgg()
 	for _, r := range c.ASes {

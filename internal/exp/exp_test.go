@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"arest/internal/asgen"
+	"arest/internal/bdrmap"
 	"arest/internal/core"
+	"arest/internal/fingerprint"
 	"arest/internal/probe"
 )
 
@@ -21,9 +23,6 @@ func testCfg() Config {
 		FlowsPerTarget:    1,
 		AliasCandidateCap: 60,
 		MaxRouters:        22,
-		// Retained mode: several tests cross-check aggregates against the
-		// raw paths/results, which only exist when KeepPaths is on.
-		KeepPaths: true,
 	}
 }
 
@@ -70,11 +69,8 @@ func TestCampaignRuns(t *testing.T) {
 		if r.TracesSent == 0 {
 			t.Errorf("AS#%d sent no traces", r.Record.ID)
 		}
-		if len(r.Paths) == 0 {
+		if r.Agg.PathsInAS == 0 {
 			t.Errorf("AS#%d has no in-AS paths", r.Record.ID)
-		}
-		if len(r.Paths) != len(r.Results) {
-			t.Errorf("AS#%d paths/results mismatch", r.Record.ID)
 		}
 	}
 }
@@ -240,8 +236,8 @@ func TestVPAccumulationMonotone(t *testing.T) {
 	c := testCampaign(t)
 	for _, r := range c.ASes {
 		acc := r.VPAccumulation()
-		if len(acc) != len(r.PerVP) {
-			t.Fatalf("AS#%d accumulation length %d, want %d", r.Record.ID, len(acc), len(r.PerVP))
+		if len(acc) != c.Cfg.NumVPs {
+			t.Fatalf("AS#%d accumulation length %d, want %d", r.Record.ID, len(acc), c.Cfg.NumVPs)
 		}
 		for i := 1; i < len(acc); i++ {
 			if acc[i] < acc[i-1] {
@@ -354,7 +350,7 @@ func TestInferSRGBAgainstWorldTruth(t *testing.T) {
 	// campaign world — default and custom alike.
 	c := testCampaign(t)
 	r, _ := c.ByID(15) // Microsoft: aligned default block
-	est, ok := core.InferSRGB(r.Results)
+	est, ok := r.InferSRGB()
 	if !ok {
 		t.Fatal("no estimate for a full-SR AS")
 	}
@@ -450,9 +446,17 @@ func TestFingerprintSourceCountsPartition(t *testing.T) {
 			sum += n
 		}
 		// The partition must cover every distinct in-AS interface exactly
-		// once.
+		// once. The interface set is rebuilt from a fresh measurement,
+		// independently of the fold under test.
+		data, err := MeasureAS(context.Background(), r.Record, c.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ann := fingerprint.NewAnnotator(data.SNMP, data.TTL)
+		asOf := bdrmap.Annotation(data.Borders).AsFunc()
 		seen := map[netip.Addr]bool{}
-		for _, p := range r.Paths {
+		for _, tr := range data.Traces() {
+			p := core.BuildPath(tr, ann, asOf).RestrictToAS(r.Record.ASN)
 			for i := range p.Hops {
 				seen[p.Hops[i].Addr] = true
 			}

@@ -188,6 +188,38 @@ func TestRunShardedFaultPersistsAndResumeRederives(t *testing.T) {
 	}
 }
 
+// TestRunMatchesRunShardedUnderFault pins the one campaign driver and the
+// one budget check: under the same injected fault, the in-memory Run and a
+// fresh sharded run (which replays every AS from its just-written shard)
+// must agree on every healthy result and on the Failed list — AS, stage and
+// error text alike.
+func TestRunMatchesRunShardedUnderFault(t *testing.T) {
+	recs := failsoftRecs(t)
+	cfg := testCfg()
+	cfg.WrapConn = faultOneVP(15, 1)
+	live, err := Run(context.Background(), recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, statuses, err := RunSharded(context.Background(), recs, cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []ShardStatus{ShardMeasured, ShardFailed, ShardMeasured}; !reflect.DeepEqual(statuses, want) {
+		t.Errorf("statuses = %v, want %v", statuses, want)
+	}
+	if !reflect.DeepEqual(live.ASes, sharded.ASes) {
+		t.Error("healthy ASes diverged between Run and RunSharded")
+	}
+	if len(live.Failed) != 1 || len(sharded.Failed) != 1 {
+		t.Fatalf("Failed = %v (Run) vs %v (RunSharded), want the faulted AS once each", live.Failed, sharded.Failed)
+	}
+	lf, sf := live.Failed[0], sharded.Failed[0]
+	if lf.Record.ID != sf.Record.ID || lf.Stage != sf.Stage || lf.Err.Error() != sf.Err.Error() {
+		t.Errorf("failure diverged: %s (Run) vs %s (RunSharded)", lf, sf)
+	}
+}
+
 // TestFaultyCampaignParallelMatchesSequential extends the determinism
 // contract to the failure path: with an injected fault, an 8-worker run
 // must produce the same results, the same Failed list, and bit-identical

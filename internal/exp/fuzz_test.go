@@ -76,7 +76,7 @@ func FuzzDetectStream(f *testing.F) {
 	f.Add([]byte(`{"vp_index":7,"trace":null}`))
 	f.Add([]byte(`{ "vp_index" : 0 , "trace" : { "hops" : [ { } , { "ttl" : 1e3 } ] } }`))
 
-	cfg.AnalyzeWorkers = 1
+	cfg.Workers = 1
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		raw := appendFrame(append([]byte(nil), head...), archive.TypeTrace, payload)
 		raw = appendFrame(raw, archive.TypeEnd, end)

@@ -6,19 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"arest/internal/archive"
 	"arest/internal/asgen"
 	"arest/internal/obs"
 )
 
-// project returns the ASResult itself: since the staged-pipeline refactor
-// dropped the *asgen.World reference, every field sits inside the
-// determinism contract and the whole result is directly comparable.
-func project(r *ASResult) *ASResult { return r }
-
 // TestCampaignParallelMatchesSequential runs the same campaign fully
 // sequentially (Workers: 1) and with an 8-worker fan-out and requires
-// deep-equal results: traces, fingerprints, alias-fed annotations,
-// delimited paths, AReST verdicts — and identical metric-counter
+// deep-equal results: the measured traces, fingerprints, aliases, borders
+// and ground truth, the folded aggregates — and identical metric-counter
 // snapshots, pinning the obs determinism contract. Under -race this
 // exercises every parallel stage — the AS pool, trace sweeps, fingerprint
 // echoes, conflict-ordered alias probing, and detection.
@@ -86,21 +82,41 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("AS count diverged: %d vs %d", len(seq.ASes), len(parl.ASes))
 	}
 	for i := range seq.ASes {
-		sp, pp := project(seq.ASes[i]), project(parl.ASes[i])
-		if !reflect.DeepEqual(sp, pp) {
-			// Narrow the report to the first diverging field.
-			switch {
-			case !reflect.DeepEqual(sp.PerVP, pp.PerVP):
-				t.Errorf("AS#%d: traces diverged", sp.Record.ID)
-			case !reflect.DeepEqual(sp.Annotator, pp.Annotator):
-				t.Errorf("AS#%d: fingerprint annotations diverged", sp.Record.ID)
-			case !reflect.DeepEqual(sp.Annotation, pp.Annotation):
-				t.Errorf("AS#%d: bdrmap annotation diverged", sp.Record.ID)
-			case !reflect.DeepEqual(sp.Results, pp.Results):
-				t.Errorf("AS#%d: AReST results diverged", sp.Record.ID)
-			default:
-				t.Errorf("AS#%d: results diverged", sp.Record.ID)
+		if sp, pp := seq.ASes[i], parl.ASes[i]; !reflect.DeepEqual(sp, pp) {
+			t.Errorf("AS#%d: results diverged", sp.Record.ID)
+		}
+	}
+
+	// The measurement the fold consumed must match too, layer by layer,
+	// so a divergence names the stage that broke.
+	for _, rec := range recs {
+		var data [2]*archive.Data
+		for i, workers := range []int{1, 8} {
+			cfg := testCfg()
+			cfg.Workers = workers
+			d, err := MeasureAS(context.Background(), rec, cfg)
+			if err != nil {
+				t.Fatalf("AS#%d workers=%d: %v", rec.ID, workers, err)
 			}
+			data[i] = d
+		}
+		s, p := data[0], data[1]
+		for _, layer := range []struct {
+			name string
+			same bool
+		}{
+			{"traces", reflect.DeepEqual(s.VPs, p.VPs) && reflect.DeepEqual(s.PerVP, p.PerVP)},
+			{"fingerprints", reflect.DeepEqual(s.SNMP, p.SNMP) && reflect.DeepEqual(s.TTL, p.TTL)},
+			{"aliases", reflect.DeepEqual(s.Aliases, p.Aliases)},
+			{"borders", reflect.DeepEqual(s.Borders, p.Borders)},
+			{"ground truth", reflect.DeepEqual(s.Meta, p.Meta) && reflect.DeepEqual(s.SREnabled, p.SREnabled)},
+		} {
+			if !layer.same {
+				t.Errorf("AS#%d: measured %s diverged", rec.ID, layer.name)
+			}
+		}
+		if !reflect.DeepEqual(s, p) {
+			t.Errorf("AS#%d: measurement diverged", rec.ID)
 		}
 	}
 }

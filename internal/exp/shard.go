@@ -10,7 +10,6 @@ import (
 
 	"arest/internal/archive"
 	"arest/internal/asgen"
-	"arest/internal/par"
 )
 
 // ShardPath names the archive shard for one catalogue record inside a
@@ -83,44 +82,9 @@ func RunSharded(ctx context.Context, records []asgen.Record, cfg Config, dir str
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("snapshot dir: %w", err)
 	}
-	kept := keptRecords(records)
-	results := make([]*ASResult, len(kept))
-	statuses := make([]ShardStatus, len(kept))
-	errs := make([]error, len(kept))
-	wd, stopWD := cfg.startWatchdog()
-	defer stopWD()
-	fanErr := par.ForEach(ctx, cfg.workers(), len(kept), func(i int) {
-		asCtx, asCfg, finish := cfg.supervised(ctx, wd, kept[i])
-		defer finish()
-		results[i], statuses[i], errs[i] = runShard(asCtx, kept[i], asCfg, dir)
+	return runCampaign(ctx, records, cfg, func(ctx context.Context, rec asgen.Record, cfg Config) (*ASResult, ShardStatus, error) {
+		return runShard(ctx, rec, cfg, dir)
 	})
-
-	c := &Campaign{Cfg: cfg}
-	interrupted := 0
-	for i, rec := range kept {
-		switch {
-		case errs[i] == nil && results[i] != nil:
-			c.ASes = append(c.ASes, results[i])
-		case errs[i] == nil:
-			statuses[i] = ShardInterrupted
-			interrupted++
-		case IsInterrupt(errs[i]) && ctx.Err() != nil:
-			statuses[i] = ShardInterrupted
-			interrupted++
-		default:
-			statuses[i] = ShardFailed
-			c.Failed = append(c.Failed, ASFailure{Record: rec, Stage: FailureStage(errs[i]), Err: errs[i]})
-		}
-	}
-	countASFailures(cfg.Metrics, len(c.Failed))
-	if fanErr != nil || interrupted > 0 {
-		countInterrupt(cfg.Metrics, interrupted)
-		if fanErr == nil {
-			fanErr = context.Cause(ctx)
-		}
-		return c, statuses, fanErr
-	}
-	return c, statuses, nil
 }
 
 // runShard loads-or-measures one AS's shard and analyzes it. Errors carry

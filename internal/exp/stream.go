@@ -1,7 +1,7 @@
 // The streaming Detect path: a bounded-memory fold over archive records.
 // fold implements archive.Visitor — side records accumulate annotation
 // state, which seals at the first trace; traces are analyzed in fixed-size
-// batches (concurrently, under AnalyzeWorkers) and folded into an Agg in
+// batches (concurrently, under Workers) and folded into an Agg in
 // stream order, so the same records yield bit-identical aggregates at every
 // worker count. DetectStream drives it straight off archive bytes without
 // ever materializing the trace set; Detect in campaign.go drives the same
@@ -24,7 +24,6 @@ import (
 	"arest/internal/mpls"
 	"arest/internal/obs"
 	"arest/internal/par"
-	"arest/internal/probe"
 )
 
 // analyzeBatch is the fold's in-flight bound: at most this many traces are
@@ -36,16 +35,12 @@ const analyzeBatch = 256
 
 // fold is the streaming Detect accumulator. It is not safe for concurrent
 // use; concurrency lives inside flush, which fans one batch out across
-// AnalyzeWorkers and then accumulates the slots in stream order.
+// Workers and then accumulates the slots in stream order.
 type fold struct {
 	cfg Config
 	// ctx bounds the fold's lifetime: flush's fan-out aborts at the next
 	// trace boundary when it is cancelled, and the fold surfaces the cause.
 	ctx context.Context
-	// applyBudget: apply the trace-failure and plan budgets when their
-	// records arrive (DetectStream); the legacy Detect contract leaves the
-	// budgets to its callers.
-	applyBudget bool
 
 	res  *ASResult
 	agg  *Agg
@@ -60,30 +55,31 @@ type fold struct {
 	planChecked bool
 
 	// Side state accumulated before the first trace, then sealed into the
-	// result's annotator and owner annotation.
+	// annotator and owner lookup every batch analysis reads.
 	snmp    map[netip.Addr]mpls.Vendor
 	ttl     map[netip.Addr]mpls.Vendor
-	borders map[netip.Addr]int
+	borders bdrmap.Annotation
 	sealed  bool
+	ann     *fingerprint.Annotator
+	asOf    func(netip.Addr) int
 
 	batch   []archive.TraceRecord
 	results []*core.Result // analysis slots, indexed like batch
 }
 
-func newFold(ctx context.Context, cfg Config, applyBudget bool) *fold {
+func newFold(ctx context.Context, cfg Config) *fold {
 	return &fold{
-		cfg:         cfg,
-		ctx:         ctx,
-		applyBudget: applyBudget,
-		res:         &ASResult{SREnabled: map[netip.Addr]bool{}},
-		agg:         NewAgg(),
-		det:         core.NewDetector(),
-		busy:        cfg.Metrics.Span("exp", "workers.busy"),
-		snmp:        map[netip.Addr]mpls.Vendor{},
-		ttl:         map[netip.Addr]mpls.Vendor{},
-		borders:     map[netip.Addr]int{},
-		batch:       make([]archive.TraceRecord, 0, analyzeBatch),
-		results:     make([]*core.Result, analyzeBatch),
+		cfg:     cfg,
+		ctx:     ctx,
+		res:     &ASResult{SREnabled: map[netip.Addr]bool{}},
+		agg:     NewAgg(),
+		det:     core.NewDetector(),
+		busy:    cfg.Metrics.Span("exp", "workers.busy"),
+		snmp:    map[netip.Addr]mpls.Vendor{},
+		ttl:     map[netip.Addr]mpls.Vendor{},
+		borders: bdrmap.Annotation{},
+		batch:   make([]archive.TraceRecord, 0, analyzeBatch),
+		results: make([]*core.Result, analyzeBatch),
 	}
 }
 
@@ -111,7 +107,7 @@ func (f *fold) sideRecord(kind string) error {
 // equal the live plan's job count, so a resumed shard re-derives the exact
 // verdict a fresh measurement would reach — before any trace is decoded.
 func (f *fold) planBudgetErr() error {
-	if !f.applyBudget || f.planChecked {
+	if f.planChecked {
 		return nil
 	}
 	f.planChecked = true
@@ -130,9 +126,6 @@ func (f *fold) VP(rec archive.VPRecord) error {
 	f.record()
 	f.planned += rec.Traces
 	f.agg.NumVPs++
-	if f.cfg.KeepPaths {
-		f.res.PerVP = append(f.res.PerVP, VPTraces{VP: rec.Addr, Traces: []*probe.Trace{}})
-	}
 	return nil
 }
 
@@ -173,12 +166,9 @@ func (f *fold) Degraded(rec archive.Degraded) error {
 	if err := f.sideRecord("degraded"); err != nil {
 		return err
 	}
-	if f.applyBudget {
-		// Budget exceeded: abort before a single trace is decoded — in a v2
-		// archive the degradation summary precedes the trace run.
-		return f.cfg.degradedBudgetErr(&rec)
-	}
-	return nil
+	// Budget exceeded: abort before a single trace is decoded — in a v2
+	// archive the degradation summary precedes the trace run.
+	return f.cfg.degradedBudgetErr(&rec)
 }
 
 func (f *fold) Trace(rec archive.TraceRecord) error {
@@ -196,12 +186,12 @@ func (f *fold) Trace(rec archive.TraceRecord) error {
 	return nil
 }
 
-// seal freezes the side state into the result's annotator and owner
-// annotation. After seal the fold is trace-only.
+// seal freezes the side state into the annotator and owner lookup. After
+// seal the fold is trace-only.
 func (f *fold) seal() {
 	f.sealed = true
-	f.res.Annotator = fingerprint.NewAnnotator(f.snmp, f.ttl)
-	f.res.Annotation = bdrmap.Annotation(f.borders)
+	f.ann = fingerprint.NewAnnotator(f.snmp, f.ttl)
+	f.asOf = f.borders.AsFunc()
 }
 
 // flush analyzes the pending batch concurrently, then accumulates the
@@ -219,10 +209,9 @@ func (f *fold) flush() error {
 	reg.Counter("exp", "jobs.detect").Add(uint64(n))
 	reg.Counter("exp", "stream.batches").Inc()
 	reg.Gauge("exp", "stream.inflight").SetMax(uint64(n))
-	asOf := f.res.Annotation.AsFunc()
-	if err := par.ForEach(f.ctx, f.cfg.analyzeWorkers(), n, func(i int) {
+	if err := par.ForEach(f.ctx, f.cfg.workers(), n, func(i int) {
 		defer f.busy.Start()()
-		p := core.BuildPath(f.batch[i].Trace, f.res.Annotator, asOf)
+		p := core.BuildPath(f.batch[i].Trace, f.ann, f.asOf)
 		sub := p.RestrictToAS(f.asn)
 		if len(sub.Hops) == 0 {
 			return
@@ -235,15 +224,8 @@ func (f *fold) flush() error {
 	for i := 0; i < n; i++ {
 		rec := f.batch[i]
 		f.agg.addTrace(rec.VPIndex, rec.Trace, f.results[i], f.res.SREnabled)
-		if f.cfg.KeepPaths {
-			f.res.PerVP[rec.VPIndex].Traces = append(f.res.PerVP[rec.VPIndex].Traces, rec.Trace)
-		}
 		if f.results[i] != nil {
 			inAS++
-			if f.cfg.KeepPaths {
-				f.res.Paths = append(f.res.Paths, f.results[i].Path)
-				f.res.Results = append(f.res.Results, f.results[i])
-			}
 		}
 		f.results[i] = nil
 	}
@@ -271,15 +253,21 @@ func (f *fold) finish() (*ASResult, error) {
 
 // DetectStream runs the Annotate and Detect stages as a one-pass fold over
 // archive bytes: peak live memory is bounded by the accumulated aggregates
-// (plus one analyze batch), never by the archive size. The trace-failure
-// budget is applied the moment the degradation record arrives, ahead of
-// the trace run. The result is deep-equal to Detect over the materialized
-// archive.
+// (plus one analyze batch), never by the archive size. The result is
+// deep-equal to Detect over the materialized archive.
 func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, error) {
+	return detect(ctx, cfg, func(v archive.Visitor) error { return archive.Stream(r, v) })
+}
+
+// detect drives a fresh fold with one record source — Data.Visit or
+// archive.Stream, the only two. Both fronts apply the budgets: the plan
+// budget once the VP run ends, the trace-failure budget the moment the
+// degradation record arrives, each ahead of the trace run.
+func detect(ctx context.Context, cfg Config, drive func(archive.Visitor) error) (*ASResult, error) {
 	done := cfg.Metrics.Span("exp", "stage.detect").Start()
 	defer done()
-	f := newFold(ctx, cfg, true)
-	if err := archive.Stream(r, f); err != nil {
+	f := newFold(ctx, cfg)
+	if err := drive(f); err != nil {
 		return nil, err
 	}
 	return f.finish()

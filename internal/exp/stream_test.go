@@ -40,47 +40,42 @@ func measureArchived(t *testing.T, id int) (*archive.Data, []byte) {
 
 // TestDetectStreamMatchesDetect is the tentpole equivalence gate: folding
 // the encoded archive one record at a time must produce a result deep-equal
-// to the legacy materialized path, at every worker count and in both
-// retained and compact mode.
+// to the legacy materialized path, at every worker count.
 func TestDetectStreamMatchesDetect(t *testing.T) {
 	for _, id := range []int{7, 46} { // full SR; ground-truth AS
 		data, raw := measureArchived(t, id)
 		for _, workers := range []int{1, 8} {
-			for _, keep := range []bool{false, true} {
-				name := fmt.Sprintf("as%d/workers%d/keep%v", id, workers, keep)
-				t.Run(name, func(t *testing.T) {
-					cfg := testCfg()
-					cfg.Workers = workers
-					cfg.KeepPaths = keep
-					legacy, err := Detect(context.Background(), data, cfg)
-					if err != nil {
-						t.Fatal(err)
+			t.Run(fmt.Sprintf("as%d/workers%d", id, workers), func(t *testing.T) {
+				cfg := testCfg()
+				cfg.Workers = workers
+				legacy, err := Detect(context.Background(), data, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(legacy, streamed) {
+					t.Errorf("DetectStream != Detect (workers=%d)", workers)
+					if !reflect.DeepEqual(legacy.Agg, streamed.Agg) {
+						t.Errorf("aggregates diverge: legacy %+v\nstreamed %+v", legacy.Agg, streamed.Agg)
 					}
-					streamed, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(legacy, streamed) {
-						t.Errorf("DetectStream != Detect (workers=%d keep=%v)", workers, keep)
-						if !reflect.DeepEqual(legacy.Agg, streamed.Agg) {
-							t.Errorf("aggregates diverge: legacy %+v\nstreamed %+v", legacy.Agg, streamed.Agg)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
-// TestDetectStreamAnalyzeWorkersInvariant pins that the analysis fan-out
-// width changes nothing: the fold accumulates in stream order regardless of
-// how many workers analyzed each batch.
-func TestDetectStreamAnalyzeWorkersInvariant(t *testing.T) {
+// TestDetectStreamWorkersInvariant pins that the analysis fan-out width
+// changes nothing: the fold accumulates in stream order regardless of how
+// many workers analyzed each batch.
+func TestDetectStreamWorkersInvariant(t *testing.T) {
 	_, raw := measureArchived(t, 46)
 	var want *ASResult
-	for _, aw := range []int{1, 3, 8} {
+	for _, workers := range []int{1, 3, 8} {
 		cfg := testCfg()
-		cfg.AnalyzeWorkers = aw
+		cfg.Workers = workers
 		got, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +85,7 @@ func TestDetectStreamAnalyzeWorkersInvariant(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("AnalyzeWorkers=%d diverges from AnalyzeWorkers=1", aw)
+			t.Errorf("Workers=%d diverges from Workers=1", workers)
 		}
 	}
 }
@@ -139,7 +134,6 @@ func TestDetectStreamInstrumentationMatchesDetect(t *testing.T) {
 func TestAggMergeMatchesSingleFold(t *testing.T) {
 	data, _ := measureArchived(t, 46)
 	cfg := testCfg()
-	cfg.KeepPaths = false
 
 	whole, err := Detect(context.Background(), data, cfg)
 	if err != nil {
@@ -213,10 +207,10 @@ func TestShardReplayMatchesLegacyDetect(t *testing.T) {
 	}
 }
 
-// TestRunShardedAnalyzeWorkersEquivalence replays a sharded campaign with a
-// different worker split (many shards in flight, narrow per-shard analysis)
-// and requires results identical to the sequential measuring run.
-func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
+// TestRunShardedWorkersEquivalence replays a sharded campaign with several
+// shards in flight, each folded under the same worker bound, and requires
+// results identical to the sequential measuring run.
+func TestRunShardedWorkersEquivalence(t *testing.T) {
 	var recs []asgen.Record
 	for _, id := range []int{7, 46} {
 		r, ok := asgen.ByID(id)
@@ -241,7 +235,6 @@ func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
 
 	parCfg := testCfg()
 	parCfg.Workers = 4
-	parCfg.AnalyzeWorkers = 2
 	parl, statuses, err := RunSharded(context.Background(), recs, parCfg, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +245,7 @@ func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(seq.ASes, parl.ASes) {
-		t.Error("sharded replay with AnalyzeWorkers diverges from the measuring run")
+		t.Error("sharded replay at Workers=4 diverges from the sequential measuring run")
 	}
 }
 
@@ -312,7 +305,7 @@ func syntheticArchive(t testing.TB, vps, nTraces, hops int) []byte {
 }
 
 // TestDetectStreamMemoryBudget is the streaming-replay memory gate: folding
-// a multi-megabyte shard in compact mode must leave a live heap bounded by
+// a multi-megabyte shard must leave a live heap bounded by
 // the aggregates, not by the archive size. The materialized path holds
 // O(input); the fold must stay an order of magnitude under it.
 func TestDetectStreamMemoryBudget(t *testing.T) {
@@ -324,7 +317,6 @@ func TestDetectStreamMemoryBudget(t *testing.T) {
 		t.Fatalf("synthetic archive only %d bytes; too small to make the budget meaningful", len(raw))
 	}
 	cfg := testCfg()
-	cfg.KeepPaths = false
 
 	runtime.GC()
 	var before runtime.MemStats
@@ -361,7 +353,6 @@ func benchArchive(b *testing.B) []byte {
 func BenchmarkDetectStream(b *testing.B) {
 	raw := benchArchive(b)
 	cfg := testCfg()
-	cfg.KeepPaths = false
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -375,7 +366,6 @@ func BenchmarkDetectStream(b *testing.B) {
 func BenchmarkDetectMaterialized(b *testing.B) {
 	raw := benchArchive(b)
 	cfg := testCfg()
-	cfg.KeepPaths = false
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -402,13 +402,3 @@ func (n *Network) Dist(a, b RouterID) int {
 	}
 	return n.dist[a][b]
 }
-
-// Hosts returns all attached hosts.
-func (n *Network) Hosts() []*Host {
-	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
-	return out
-}

@@ -9,8 +9,8 @@ import "arest/internal/obs"
 // contract. The RTT histogram is deterministic too under the simulator
 // (synthetic hop-count RTTs); against a real raw-socket Conn it is not.
 type Metrics struct {
-	sentUDP   *obs.Counter
-	sentICMP  *obs.Counter
+	sentUDP     *obs.Counter
+	sentICMP    *obs.Counter
 	replies     *obs.Counter
 	retries     *obs.Counter
 	gaps        *obs.Counter
