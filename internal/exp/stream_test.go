@@ -40,29 +40,42 @@ func measureArchived(t *testing.T, id int) (*archive.Data, []byte) {
 
 // TestDetectStreamMatchesDetect is the tentpole equivalence gate: folding
 // the encoded archive one record at a time must produce a result deep-equal
-// to the legacy materialized path, at every worker count.
+// to the materialized path, at every worker count. keep selects the Data the
+// materialized path folds: keeptrue is the Data kept from the measurement,
+// keepfalse is the Data decoded back from the archive bytes by ReadData.
 func TestDetectStreamMatchesDetect(t *testing.T) {
 	for _, id := range []int{7, 46} { // full SR; ground-truth AS
-		data, raw := measureArchived(t, id)
+		measured, raw := measureArchived(t, id)
+		decoded, err := archive.ReadData(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("as%d/workers%d", id, workers), func(t *testing.T) {
-				cfg := testCfg()
-				cfg.Workers = workers
-				legacy, err := Detect(context.Background(), data, cfg)
-				if err != nil {
-					t.Fatal(err)
+			for _, keep := range []bool{false, true} {
+				data := decoded
+				if keep {
+					data = measured
 				}
-				streamed, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(legacy, streamed) {
-					t.Errorf("DetectStream != Detect (workers=%d)", workers)
-					if !reflect.DeepEqual(legacy.Agg, streamed.Agg) {
-						t.Errorf("aggregates diverge: legacy %+v\nstreamed %+v", legacy.Agg, streamed.Agg)
+				name := fmt.Sprintf("as%d/workers%d/keep%v", id, workers, keep)
+				t.Run(name, func(t *testing.T) {
+					cfg := testCfg()
+					cfg.Workers = workers
+					legacy, err := Detect(context.Background(), data, cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
+					streamed, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(legacy, streamed) {
+						t.Errorf("DetectStream != Detect (workers=%d keep=%v)", workers, keep)
+						if !reflect.DeepEqual(legacy.Agg, streamed.Agg) {
+							t.Errorf("aggregates diverge: legacy %+v\nstreamed %+v", legacy.Agg, streamed.Agg)
+						}
+					}
+				})
+			}
 		}
 	}
 }
